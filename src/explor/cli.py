@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import metrics as me
-from .data import Dataset, DatasetError, SubsampleSpec, load_csv, make_synthetic_radial, save_csv, subsample
+from .data import Dataset, DatasetError, SubsampleSpec, load_csv, load_features, make_synthetic_radial, save_csv, subsample
 from .latent import encode, fit_pca
 from .model import (
     NetConfig,
@@ -181,35 +181,11 @@ def resolve_config(config_path, args) -> dict:
 
 
 def _pl_config(cfg: dict, seed: int) -> PseudoLabelConfig:
-    p = cfg["pseudo"]
-    return PseudoLabelConfig(
-        k=p["k"],
-        max_depth=p["max_depth"],
-        min_leaf=p["min_leaf"],
-        instance_fraction=p["instance_fraction"],
-        feature_fraction=p["feature_fraction"],
-        trees_per_labeler=p["trees_per_labeler"],
-        decision_threshold=p["decision_threshold"],
-        seed=seed,
-    )
+    return PseudoLabelConfig(**cfg["pseudo"], seed=seed)
 
 
 def _net_config(cfg: dict, seed: int) -> NetConfig:
-    n = cfg["net"]
-    return NetConfig(
-        hidden=tuple(n["hidden"]),
-        lambda_expand=n["lambda_expand"],
-        batch_size=n["batch_size"],
-        iterations=n["iterations"],
-        learning_rate=n["learning_rate"],
-        beta1=n["beta1"],
-        beta2=n["beta2"],
-        eps=n["eps"],
-        seed=seed,
-        redraw_expansion_each_batch=n["redraw_expansion_each_batch"],
-        loss_mode=n["loss_mode"],
-        snapshot_interval=n["snapshot_interval"],
-    )
+    return NetConfig(**cfg["net"], seed=seed)
 
 
 def _load_dataset(cfg: dict, path: str) -> Dataset:
@@ -277,21 +253,22 @@ def cmd_fit(cfg: dict, train_path: str, out_dir: str) -> dict:
 
 def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, include_heads: bool = False) -> dict:
     bundle = load_bundle(bundle_path)
-    ds = _load_dataset(cfg, data_path)
-    scores = predict(bundle, ds.features)
+    # Scoring needs no labels: the label column is dropped if present.
+    X = load_features(data_path, label_column=cfg["label_column"], group_column=cfg["group_column"])
+    scores = predict(bundle, X)
     header = ["index", "score"]
     head_cols = None
     if include_heads:
         if bundle.net is not None:
-            head_cols = predict_heads(bundle, ds.features)
+            head_cols = predict_heads(bundle, X)
         elif bundle.ensemble is not None:
-            head_cols = bundle.ensemble.predict_matrix(encode(bundle.latent_map, ds.features)).astype(float)
+            head_cols = bundle.ensemble.predict_matrix(encode(bundle.latent_map, X)).astype(float)
         else:
             raise ConfigError("bundle has neither network heads nor labelers to export")
         header += [f"head_{j}" for j in range(head_cols.shape[1])]
 
     def rows():
-        for i in range(ds.n):
+        for i in range(len(X)):
             row = [str(i), _fmt(scores[i])]
             if head_cols is not None:
                 row += [_fmt(v) for v in head_cols[i]]
@@ -299,7 +276,7 @@ def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, inclu
 
     paths = {"predictions": f"{out_dir}/predictions.csv"}
     _write_csv(paths["predictions"], header, rows())
-    print(f"wrote {paths['predictions']} ({ds.n} rows)")
+    print(f"wrote {paths['predictions']} ({len(X)} rows)")
     return paths
 
 

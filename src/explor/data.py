@@ -25,6 +25,12 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _check_finite(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        bad = np.argwhere(~np.isfinite(X))[0]
+        raise DatasetError(f"non-finite feature at row {bad[0]}, column {bad[1]}")
+
+
 class Dataset:
     """Feature matrix with binary labels and optional group ids.
 
@@ -46,9 +52,7 @@ class Dataset:
         n, d = X.shape
         if n < 1 or d < 1:
             raise DatasetError(f"need at least one row and one column, got shape {X.shape}")
-        if not np.all(np.isfinite(X)):
-            bad = np.argwhere(~np.isfinite(X))[0]
-            raise DatasetError(f"non-finite feature at row {bad[0]}, column {bad[1]}")
+        _check_finite(X)
         y = np.asarray(labels)
         if y.shape != (n,):
             raise DatasetError(f"labels must have shape ({n},), got {y.shape}")
@@ -146,6 +150,24 @@ def load_csv(path, label_column: str = "label", group_column: str | None = None)
     as a float feature, in header order. Labels must be 0/1 or true/false.
     Parse failures are reported with their row and column.
     """
+    X, labels, groups, names = _read_csv(path, label_column, group_column, label_required=True)
+    return Dataset(X, labels, group=groups, feature_names=names)
+
+
+def load_features(path, label_column: str = "label", group_column: str | None = None) -> np.ndarray:
+    """The (N, d) feature matrix of a headed CSV file whose label column may be absent.
+
+    Columns and checks are those of :func:`load_csv`; a label column that is
+    present is still validated. A file with and without its label column
+    gives the same matrix.
+    """
+    X, _, _, _ = _read_csv(path, label_column, group_column, label_required=False)
+    _check_finite(X)
+    return X
+
+
+def _read_csv(path, label_column, group_column, label_required):
+    """(features, labels or None, groups or None, feature names) of a headed CSV file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -153,9 +175,11 @@ def load_csv(path, label_column: str = "label", group_column: str | None = None)
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if label_column not in header:
+        label_idx = None
+        if label_column in header:
+            label_idx = header.index(label_column)
+        elif label_required:
             raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
         group_idx = None
         if group_column is not None:
             if group_column not in header:
@@ -170,15 +194,16 @@ def load_csv(path, label_column: str = "label", group_column: str | None = None)
                 continue
             if len(rec) != len(header):
                 raise DatasetError(f"{path}: line {lineno} has {len(rec)} fields, expected {len(header)}")
-            raw = rec[label_idx].strip().lower()
-            if raw in ("0", "1"):
-                labels.append(int(raw))
-            elif raw in ("true", "false"):
-                labels.append(1 if raw == "true" else 0)
-            else:
-                raise DatasetError(
-                    f"{path}: line {lineno}, column {label_column!r}: label {rec[label_idx]!r} not in 0/1/true/false"
-                )
+            if label_idx is not None:
+                raw = rec[label_idx].strip().lower()
+                if raw in ("0", "1"):
+                    labels.append(int(raw))
+                elif raw in ("true", "false"):
+                    labels.append(1 if raw == "true" else 0)
+                else:
+                    raise DatasetError(
+                        f"{path}: line {lineno}, column {label_column!r}: label {rec[label_idx]!r} not in 0/1/true/false"
+                    )
             if group_idx is not None:
                 try:
                     groups.append(int(rec[group_idx]))
@@ -197,11 +222,11 @@ def load_csv(path, label_column: str = "label", group_column: str | None = None)
             rows.append(vals)
         if not rows:
             raise DatasetError(f"{path}: no data rows")
-    return Dataset(
+    return (
         np.array(rows, dtype=np.float64),
-        np.array(labels, dtype=np.int64),
-        group=np.array(groups, dtype=np.int64) if group_idx is not None else None,
-        feature_names=[header[i] for i in feat_idx],
+        np.array(labels, dtype=np.int64) if label_idx is not None else None,
+        np.array(groups, dtype=np.int64) if group_idx is not None else None,
+        [header[i] for i in feat_idx],
     )
 
 

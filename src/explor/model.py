@@ -21,7 +21,7 @@ bit-for-bit (single fixed reduction order, no threading in the Python layer).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,26 +45,23 @@ class TrainingDivergence(RuntimeError):
 
 def elu(x: np.ndarray) -> np.ndarray:
     out = np.array(x, dtype=np.float64, copy=True)
-    neg = out <= 0
-    out[neg] = np.expm1(out[neg])
+    np.expm1(out, out=out, where=out <= 0)
     return out
 
 
 def elu_grad(x: np.ndarray) -> np.ndarray:
     # 1 above zero, exp(x) at and below; continuous since exp(0) = 1.
     out = np.ones_like(x)
-    neg = x <= 0
-    out[neg] = np.exp(x[neg])
+    np.exp(x, out=out, where=x <= 0)
     return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) <= 1 never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
+    # below. min(x, -x) rather than -|x| keeps the sign bit of a NaN input.
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def bce_logits(z: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -111,8 +108,8 @@ class ExplorNet:
     """ELU trunk with K independent logistic heads, stored as plain arrays."""
 
     def __init__(self, input_dim: int, hidden, heads: int, seed: int = 0):
-        if input_dim < 1 or heads < 1:
-            raise ValueError(f"need input_dim >= 1 and heads >= 1, got {input_dim}, {heads}")
+        if input_dim < 1 or heads < 1 or any(h < 1 for h in hidden):
+            raise ValueError(f"need input_dim, heads and hidden widths >= 1, got {input_dim}, {heads}, {list(hidden)}")
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.heads = int(heads)
@@ -178,18 +175,22 @@ class ExplorNet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExplorNet":
+        """Rebuild a net; every parameter must be present, finite and shaped as the declared dims say."""
         net = cls(doc["input_dim"], doc["hidden"], doc["heads"])
-        for k, spec in doc["params"].items():
-            net.params[k] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        params = doc["params"]
+        missing = sorted(set(net.params) - set(params))
+        unexpected = sorted(set(params) - set(net.params))
+        if missing or unexpected:
+            raise ValueError(f"net params do not fit the declared dims: missing {missing}, unexpected {unexpected}")
+        for k, spec in params.items():
+            want = net.params[k]
+            data = np.array(spec["data"], dtype=np.float64)
+            if tuple(spec["shape"]) != want.shape or data.shape != (want.size,):
+                raise ValueError(f"net param {k!r} has shape {spec['shape']} and {data.size} values, expected {list(want.shape)}")
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"net param {k!r} has non-finite values")
+            net.params[k] = data.reshape(want.shape)
         return net
-
-
-def _mean_gap_terms(logits, targets):
-    """Per-row mean head probability, mean target, and sigma'(logits)."""
-    probs = sigmoid(logits)
-    p = probs.mean(axis=1)
-    q = targets.mean(axis=1)
-    return probs, p, q
 
 
 def _prob_bce(p, q):
@@ -211,37 +212,35 @@ def loss_and_grads(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfi
     return _loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=True)
 
 
-def _dlogits_match(logits, targets):
+def _match_loss(logits, probs, targets):
+    """(mean BCE of each head against its labeler, dL/dlogits); probs = sigmoid(logits)."""
     b, k = logits.shape
-    return (sigmoid(logits) - targets) / (b * k)
+    return float(bce_logits(logits, targets).mean()), (probs - targets) / (b * k)
 
 
-def _dlogits_mean(logits, targets):
-    b, k = logits.shape
-    probs, p, q = _mean_gap_terms(logits, targets)
-    return np.sign(p - q)[:, None] * (probs * (1.0 - probs)) / (b * k)
+def _gap_loss(probs, targets, kind):
+    """(loss, dL/dlogits) of the per-row gap between mean head probability and mean target.
+
+    ``kind`` "mean_abs" takes |p - q|, "prob_bce" the BCE of p against q.
+    """
+    b, k = probs.shape
+    p = probs.mean(axis=1)
+    q = targets.mean(axis=1)
+    if kind == "mean_abs":
+        value, dp = np.abs(p - q).mean(), np.sign(p - q)
+    else:
+        inside = (p > _PROB_EPS) & (p < 1.0 - _PROB_EPS)
+        pc = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
+        value, dp = _prob_bce(p, q).mean(), np.where(inside, (pc - q) / (pc * (1.0 - pc)), 0.0)
+    return float(value), dp[:, None] * (probs * (1.0 - probs)) / (b * k)
 
 
-def _dlogits_prob_bce(logits, targets):
-    b, k = logits.shape
-    probs, p, q = _mean_gap_terms(logits, targets)
-    inside = (p > _PROB_EPS) & (p < 1.0 - _PROB_EPS)
-    pc = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
-    dp = np.where(inside, (pc - q) / (pc * (1.0 - pc)), 0.0)
-    return dp[:, None] * (probs * (1.0 - probs)) / (b * k)
-
-
-def _batch_loss(logits, targets, mode):
-    """(loss value, dL/dlogits) of one batch under the given matching mode."""
-    if mode == "match":
-        return float(bce_logits(logits, targets).mean()), _dlogits_match(logits, targets)
-    if mode == "mean_abs":
-        _, p, q = _mean_gap_terms(logits, targets)
-        return float(np.abs(p - q).mean()), _dlogits_mean(logits, targets)
-    if mode == "prob_bce":
-        _, p, q = _mean_gap_terms(logits, targets)
-        return float(_prob_bce(p, q).mean()), _dlogits_prob_bce(logits, targets)
-    raise ValueError(f"unknown batch loss {mode!r}")
+def _batch_loss(logits, targets, mean_only):
+    """(loss value, dL/dlogits) of one batch: head matching, or the gap BCE if ``mean_only``."""
+    probs = sigmoid(logits)
+    if mean_only:
+        return _gap_loss(probs, targets, "prob_bce")
+    return _match_loss(logits, probs, targets)
 
 
 def _loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=True):
@@ -254,16 +253,15 @@ def _loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=True):
         targets = targets.mean(axis=1, keepdims=True)
 
     logits, cache = net.forward(Z)
+    mean_only = mode == "mean_only"
     if mode == "full":
-        match_val, d_match = _batch_loss(logits, targets, "match")
-        mean_val, d_mean = _batch_loss(logits, targets, "mean_abs")
+        probs = sigmoid(logits)
+        match_val, d_match = _match_loss(logits, probs, targets)
+        mean_val, d_mean = _gap_loss(probs, targets, "mean_abs")
         dlogits = d_match + d_mean
-    elif mode == "match_only" or mode == "single_head":
-        match_val, dlogits = _batch_loss(logits, targets, "match")
-        mean_val = 0.0
-    else:  # mean_only
-        mean_val, dlogits = _batch_loss(logits, targets, "prob_bce")
-        match_val = 0.0
+    else:
+        value, dlogits = _batch_loss(logits, targets, mean_only)
+        match_val, mean_val = (0.0, value) if mean_only else (value, 0.0)
 
     expand_val = 0.0
     exp_pack = None
@@ -273,8 +271,7 @@ def _loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=True):
         if mode == "single_head":
             targets_exp = targets_exp.mean(axis=1, keepdims=True)
         logits_exp, cache_exp = net.forward(Z_exp)
-        exp_mode = "prob_bce" if mode == "mean_only" else "match"
-        expand_val, d_exp = _batch_loss(logits_exp, targets_exp, exp_mode)
+        expand_val, d_exp = _batch_loss(logits_exp, targets_exp, mean_only)
         exp_pack = (cache_exp, d_exp)
 
     total = match_val + mean_val + cfg.lambda_expand * expand_val
@@ -359,35 +356,8 @@ class TrainedBundle:
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        nc = None
-        if self.net_config is not None:
-            nc = {
-                "hidden": list(self.net_config.hidden),
-                "lambda_expand": self.net_config.lambda_expand,
-                "batch_size": self.net_config.batch_size,
-                "iterations": self.net_config.iterations,
-                "learning_rate": self.net_config.learning_rate,
-                "beta1": self.net_config.beta1,
-                "beta2": self.net_config.beta2,
-                "eps": self.net_config.eps,
-                "seed": self.net_config.seed,
-                "redraw_expansion_each_batch": self.net_config.redraw_expansion_each_batch,
-                "loss_mode": self.net_config.loss_mode,
-                "snapshot_interval": self.net_config.snapshot_interval,
-            }
-        pc = None
-        if self.pl_config is not None:
-            p = self.pl_config
-            pc = {
-                "k": p.k,
-                "max_depth": p.max_depth,
-                "min_leaf": p.min_leaf,
-                "instance_fraction": p.instance_fraction,
-                "feature_fraction": p.feature_fraction,
-                "trees_per_labeler": p.trees_per_labeler,
-                "decision_threshold": p.decision_threshold,
-                "seed": p.seed,
-            }
+        nc = None if self.net_config is None else asdict(self.net_config)
+        pc = None if self.pl_config is None else asdict(self.pl_config)
         return {
             "format_version": 1,
             "method": self.method,
@@ -408,6 +378,13 @@ class TrainedBundle:
     def from_dict(cls, doc: dict) -> "TrainedBundle":
         if doc.get("format_version") != 1:
             raise ValueError(f"unsupported bundle format_version {doc.get('format_version')!r}")
+        method = doc["method"]
+        needs = {"explor": ("ensemble", "net"), "erm": ("net",), "pl_ens": ("ensemble",)}
+        if method not in needs:
+            raise ValueError(f"unknown bundle method {method!r}")
+        for part in needs[method]:
+            if doc[part] is None:
+                raise ValueError(f"{method} bundle has no {part}")
         lm = LatentMap(
             mean=np.array(doc["latent_map"]["mean"], dtype=np.float64),
             components=np.array(doc["latent_map"]["components"], dtype=np.float64),
@@ -422,7 +399,7 @@ class TrainedBundle:
         if doc["pl_config"] is not None:
             pc = PseudoLabelConfig(**doc["pl_config"])
         return cls(
-            method=doc["method"],
+            method=method,
             latent_map=lm,
             ensemble=None if doc["ensemble"] is None else PseudoLabelEnsemble.from_dict(doc["ensemble"]),
             net=None if doc["net"] is None else ExplorNet.from_dict(doc["net"]),
@@ -441,8 +418,14 @@ def save_bundle(bundle: TrainedBundle, path) -> None:
 
 
 def load_bundle(path) -> TrainedBundle:
+    """Read a bundle; any malformed content raises ValueError naming the file."""
     with open(path) as fh:
-        return TrainedBundle.from_dict(json.load(fh))
+        try:
+            return TrainedBundle.from_dict(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: malformed bundle: missing key {exc}") from None
+        except (TypeError, AttributeError, IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed bundle: {exc}") from None
 
 
 def _resolve_components(n_components, n, d) -> int:
@@ -539,8 +522,7 @@ def train_erm(
         Zb = Z[idx]
         targets = np.repeat(y[idx][:, None], heads, axis=1)
         logits, cache = net.forward(Zb)
-        loss = float(bce_logits(logits, targets).mean())
-        dlogits = _dlogits_match(logits, targets)
+        loss, dlogits = _batch_loss(logits, targets, mean_only=False)
         grads = net.zero_grads()
         net.backward(cache, dlogits, grads)
         _check_finite_grads(grads)

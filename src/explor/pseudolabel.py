@@ -7,15 +7,20 @@ between consecutive distinct sorted values; ties are broken toward the
 lowest feature index, then the lowest threshold, so fitting is fully
 deterministic. Tree feature indices always refer to the original columns.
 
-Prediction packs every tree of every labeler into rectangular node tables
-and walks all of them level-by-level with array ops, which keeps the
-per-batch pseudo-labeling cost flat during network training.
+Prediction lays every tree of every labeler out as a complete binary tree
+of depth D, the depth of the deepest tree grown, in heap order: node i has
+children 2i+1 and 2i+2. A leaf above depth D becomes a pad node (feature 0,
+threshold +inf) whose vote is copied into both subtrees, so every row takes
+exactly D steps. Each step is one flat gather of feature and
+threshold for all trees and rows at once, one gather of X, and
+``idx = 2*idx + 1 + go_right``. Rows go right iff not x <= threshold, so a
+NaN goes right.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,21 +77,6 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return self.feature.size
-
-    def predict_fraction(self, X) -> np.ndarray:
-        """Leaf positive fraction for each row of X (full-width features)."""
-        X = np.asarray(X, dtype=np.float64)
-        idx = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            feat = self.feature[idx]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            f = feat[rows]
-            go_left = X[rows, f] <= self.threshold[idx[rows]]
-            idx[rows] = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
-        return self.value[idx]
 
     def to_dict(self) -> dict:
         return {
@@ -185,14 +175,6 @@ class PseudoLabeler:
         self.feature_indices = np.asarray(feature_indices, dtype=np.int64)
         self.decision_threshold = float(decision_threshold)
 
-    def predict(self, X) -> np.ndarray:
-        """Hard 0/1 labels: each tree votes on its leaf fraction, labeler takes the majority."""
-        votes = np.stack([t.predict_fraction(X) >= self.decision_threshold for t in self.trees])
-        return (votes.mean(axis=0) >= 0.5).astype(np.int64)
-
-    def predict_one(self, x) -> int:
-        return int(self.predict(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def to_dict(self) -> dict:
         return {
             "trees": [t.to_dict() for t in self.trees],
@@ -226,21 +208,38 @@ class PseudoLabelEnsemble:
 
     def _pack(self):
         trees = [t for lab in self.labelers for t in lab.trees]
-        m = max(t.n_nodes for t in trees)
         nt = len(trees)
-        self._feat = np.full((nt, m), -1, dtype=np.int32)
-        self._thr = np.zeros((nt, m), dtype=np.float64)
-        self._left = np.zeros((nt, m), dtype=np.int32)
-        self._right = np.zeros((nt, m), dtype=np.int32)
-        self._value = np.zeros((nt, m), dtype=np.float64)
-        for i, t in enumerate(trees):
-            k = t.n_nodes
-            self._feat[i, :k] = t.feature
-            self._thr[i, :k] = t.threshold
-            self._left[i, :k] = t.left
-            self._right[i, :k] = t.right
-            self._value[i, :k] = t.value
-        self._thresholds = np.array([lab.decision_threshold for lab in self.labelers])
+        sizes = np.array([t.n_nodes for t in trees])
+        start = np.cumsum(sizes) - sizes
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        threshold = np.concatenate([t.threshold for t in trees])
+        shift = np.repeat(start, sizes)
+        left = np.concatenate([t.left for t in trees]) + shift
+        right = np.concatenate([t.right for t in trees]) + shift
+        # One level of the complete trees at a time: node[t, i] is the real
+        # node that heap slot i of tree t stands for; a leaf stands for all
+        # of its pad descendants.
+        node = start[:, None]
+        feats, thrs = [], []
+        while True:
+            internal = feature[node] >= 0
+            if not internal.any():
+                break
+            if len(feats) >= self.config.max_depth:
+                raise ValueError(f"a tree is deeper than max_depth={self.config.max_depth}")
+            feats.append(np.where(internal, feature[node], 0))
+            thrs.append(np.where(internal, threshold[node], np.inf))
+            children = np.empty((nt, 2 * node.shape[1]), dtype=np.intp)
+            children[:, 0::2] = np.where(internal, left[node], node)
+            children[:, 1::2] = np.where(internal, right[node], node)
+            node = children
+        self._depth = len(feats)
+        # (nt, 2^D - 1) tables; the zero-width first block keeps D = 0 (root-only trees) valid.
+        self._feat = np.concatenate([np.zeros((nt, 0), np.intp), *feats], axis=1)
+        self._thr = np.concatenate([np.zeros((nt, 0)), *thrs], axis=1)
+        cut = np.repeat([lab.decision_threshold for lab in self.labelers], len(self.labelers[0].trees))
+        self._leaf_vote = np.concatenate([t.value for t in trees])[node] >= cut[:, None]
+        self._n_features = int(feature.max()) + 1
 
     @property
     def k(self) -> int:
@@ -248,24 +247,25 @@ class PseudoLabelEnsemble:
 
     def predict_matrix(self, X) -> np.ndarray:
         """(N, K) hard pseudo-labels for every labeler at once."""
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        nt = self._feat.shape[0]
-        tid = np.arange(nt)[:, None]
-        idx = np.zeros((nt, n), dtype=np.int32)
-        while True:
-            feat = self._feat[tid, idx]
-            active = feat >= 0
-            if not active.any():
-                break
-            # Padded slots read column 0; the active mask discards them.
-            xv = X[np.arange(n)[None, :], np.where(active, feat, 0)]
-            go_left = xv <= self._thr[tid, idx]
-            nxt = np.where(go_left, self._left[tid, idx], self._right[tid, idx])
-            idx = np.where(active, nxt, idx)
-        frac = self._value[tid, idx]
-        t_per = len(self.labelers[0].trees)
-        votes = frac.reshape(self.k, t_per, n) >= self._thresholds[:, None, None]
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] < self._n_features:
+            raise ValueError(f"expected shape (N, >= {self._n_features}), got {X.shape}")
+        n, d = X.shape
+        nt, inner = self._feat.shape
+        # take() reads the tables and X as flat arrays: tree t's slot i is
+        # at t * width + i, and X[r, f] is at r * d + f.
+        base = (np.arange(nt) * inner)[:, None]
+        row = (np.arange(n) * d)[None, :]
+        idx = np.zeros((nt, n), dtype=np.intp)
+        for _ in range(self._depth):
+            node = base + idx
+            go_left = X.take(self._feat.take(node) + row) <= self._thr.take(node)
+            # idx = 2*idx + 1 + go_right, in place.
+            idx *= 2
+            idx += 2
+            idx -= go_left
+        idx += (np.arange(nt) * (inner + 1))[:, None] - inner
+        votes = self._leaf_vote.take(idx).reshape(self.k, -1, n)
         return (votes.mean(axis=1) >= 0.5).T.astype(np.int64)
 
     def ensemble_mean(self, X) -> np.ndarray:
@@ -273,19 +273,7 @@ class PseudoLabelEnsemble:
         return self.predict_matrix(X).mean(axis=1)
 
     def to_dict(self) -> dict:
-        return {
-            "labelers": [lab.to_dict() for lab in self.labelers],
-            "config": {
-                "k": self.config.k,
-                "max_depth": self.config.max_depth,
-                "min_leaf": self.config.min_leaf,
-                "instance_fraction": self.config.instance_fraction,
-                "feature_fraction": self.config.feature_fraction,
-                "trees_per_labeler": self.config.trees_per_labeler,
-                "decision_threshold": self.config.decision_threshold,
-                "seed": self.config.seed,
-            },
-        }
+        return {"labelers": [lab.to_dict() for lab in self.labelers], "config": asdict(self.config)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PseudoLabelEnsemble":

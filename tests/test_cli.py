@@ -193,6 +193,80 @@ class TestFitPredictEval:
         assert main(args) == 2
 
 
+def strip_column(src, dst, name):
+    header, rows = read_rows(src)
+    keep = [i for i, h in enumerate(header) if h != name]
+    with open(dst, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([header[i] for i in keep])
+        writer.writerows([[r[i] for i in keep] for r in rows])
+
+
+class TestUnlabelledScoring:
+    @pytest.mark.parametrize("heads", [(), ("--heads",)])
+    def test_same_predictions_without_label_column(self, workdir, heads):
+        tmp_path, cfg_path = workdir
+        base = ["--config", str(cfg_path), "--output-dir"]
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), *base, str(tmp_path)]) == 0
+        strip_column(tmp_path / "ood_test.csv", tmp_path / "unlabelled.csv", "label")
+        out = {}
+        for name in ("ood_test", "unlabelled"):
+            d = tmp_path / name
+            argv = ["predict", "--bundle", str(tmp_path / "bundle.json"), "--data", str(tmp_path / f"{name}.csv")]
+            assert main([*argv, *heads, *base, str(d)]) == 0
+            out[name] = (d / "predictions.csv").read_bytes()
+        assert out["ood_test"] == out["unlabelled"]
+
+    def test_label_still_required_to_fit_eval_and_loo(self, workdir, capsys):
+        tmp_path, cfg_path = workdir
+        strip_column(tmp_path / "train.csv", tmp_path / "unlabelled.csv", "label")
+        data = str(tmp_path / "unlabelled.csv")
+        base = ["--config", str(cfg_path), "--output-dir", str(tmp_path)]
+        assert main(["fit", "--train", data, *base]) == 1
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
+        assert main(["predict", "--bundle", str(tmp_path / "bundle.json"), "--data", data, *base]) == 0
+        assert main(["eval", "--predictions", str(tmp_path / "predictions.csv"), "--data", data, *base]) == 1
+        assert main(["loo", "--data", data, "--method", "pl_ens", *base]) == 1
+        assert capsys.readouterr().err.count("label column 'label' not in header") == 3
+
+    def test_bad_label_in_present_column_still_rejected(self, workdir):
+        tmp_path, cfg_path = workdir
+        base = ["--config", str(cfg_path), "--output-dir", str(tmp_path)]
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
+        lines = (tmp_path / "ood_test.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",maybe"
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        assert main(["predict", "--bundle", str(tmp_path / "bundle.json"), "--data", str(tmp_path / "bad.csv"), *base]) == 1
+
+
+class TestMalformedBundle:
+    def fitted(self, workdir):
+        tmp_path, cfg_path = workdir
+        base = ["--config", str(cfg_path), "--output-dir", str(tmp_path)]
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
+        return tmp_path, base, json.loads((tmp_path / "bundle.json").read_text())
+
+    @pytest.mark.parametrize("breakage", ["no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net"])
+    def test_predict_exits_one_without_traceback(self, workdir, capsys, breakage):
+        tmp_path, base, doc = self.fitted(workdir)
+        if breakage == "no_latent_map":
+            del doc["latent_map"]
+        elif breakage == "no_trunk_w":
+            del doc["net"]["params"]["trunk.0.w"]
+        elif breakage == "no_params":
+            del doc["net"]["params"]
+        elif breakage == "not_an_object":
+            doc = [doc]
+        else:
+            doc["net"] = None
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--bundle", str(tmp_path / "broken.json"), "--data", str(tmp_path / "ood_test.csv"), *base])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "malformed bundle" in err and "Traceback" not in err
+
+
 class TestStability:
     def make_sets(self, seed=0):
         return make_synthetic_radial(60, 20, 3, seed=seed)

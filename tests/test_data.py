@@ -10,6 +10,7 @@ from explor.data import (
     DatasetError,
     SubsampleSpec,
     load_csv,
+    load_features,
     make_synthetic_radial,
     save_csv,
     subsample,
@@ -90,6 +91,22 @@ class TestCsvRoundtrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DatasetError, match="label"):
             load_csv(path)
+
+    def test_features_with_or_without_label_column(self, tmp_path):
+        (tmp_path / "with.csv").write_text("a,label,b\n1.5,1,2\n-3,0,4e-3\n")
+        (tmp_path / "without.csv").write_text("a,b\n1.5,2\n-3,4e-3\n")
+        expect = load_csv(tmp_path / "with.csv").features
+        assert load_features(tmp_path / "with.csv").tobytes() == expect.tobytes()
+        assert load_features(tmp_path / "without.csv").tobytes() == expect.tobytes()
+
+    def test_features_checked_like_load_csv(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1.0,nan\n")
+        with pytest.raises(DatasetError, match="non-finite feature at row 0, column 1"):
+            load_features(path)
+        path.write_text("a,b,label\n1.0,2.0,yes\n")
+        with pytest.raises(DatasetError, match="label"):
+            load_features(path)
 
     def test_bad_feature_reports_location(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -48,6 +48,30 @@ def oracle_bce(z, g):
     return -(g * math.log(s) + (1.0 - g) * math.log(1.0 - s))
 
 
+def masked_elu(x):
+    """The masked-index ELU: exact reference for the in-place form."""
+    out = np.array(x, dtype=np.float64, copy=True)
+    neg = out <= 0
+    out[neg] = np.expm1(out[neg])
+    return out
+
+
+def masked_elu_grad(x):
+    out = np.ones_like(x)
+    neg = x <= 0
+    out[neg] = np.exp(x[neg])
+    return out
+
+
+def masked_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def fd_gradient(fn, params, name, h=1e-5):
     """Central finite differences of fn() w.r.t. every entry of params[name]."""
     base = params[name]
@@ -93,6 +117,27 @@ class TestPrimitives:
 
     def test_sigmoid_zero_is_half(self):
         assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("fn,oracle", [
+        (elu, masked_elu),
+        (elu_grad, masked_elu_grad),
+        (sigmoid, masked_sigmoid),
+    ])
+    def test_bytes_match_masked_oracle(self, fn, oracle):
+        rng = np.random.default_rng(23)
+        edge = np.array([-0.0, 0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan])
+        with np.errstate(over="ignore"):  # elu_grad(800) is exp(800) in both forms
+            for x in (rng.standard_normal((256, 64)), 40.0 * rng.standard_normal((256, 64)), edge):
+                assert fn(x).tobytes() == oracle(x).tobytes()
+
+    def test_elu_keeps_negative_zero(self):
+        assert np.signbit(elu(np.array([-0.0]))[0])
+
+    @pytest.mark.parametrize("fn", [elu, sigmoid])
+    def test_no_overflow_on_extremes(self, fn):
+        x = np.array([-0.0, 0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan])
+        with np.errstate(over="raise"):
+            fn(x)
 
     def test_bce_moderate(self):
         rng = np.random.default_rng(0)
@@ -422,6 +467,45 @@ class TestBundleIO:
         path2 = tmp_path / "again.json"
         save_bundle(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("breakage,match", [
+        ("drop trunk.0.w", "missing"),
+        ("drop heads.b", "missing"),
+        ("extra param", "unexpected"),
+        ("short heads.w", "shape"),
+        ("reshaped trunk.1.w", "shape"),
+        ("nan in trunk.0.b", "non-finite"),
+        ("inf in heads.w", "non-finite"),
+        ("zero width", "hidden"),
+    ])
+    def test_net_params_checked_against_declared_dims(self, breakage, match):
+        """A net whose params do not fit input_dim, hidden and heads must not load."""
+        ds = small_ds(seed=17)
+        doc = json.loads(json.dumps(train(ds, quick_net(its=3, hidden=(6, 5)), quick_pl(), n_components=4).to_dict()))
+        params = doc["net"]["params"]
+        if breakage.startswith("drop"):
+            del params[breakage.split()[1]]
+        elif breakage == "extra param":
+            params["trunk.2.w"] = {"shape": [1, 5], "data": [0.0] * 5}
+        elif breakage == "short heads.w":
+            params["heads.w"] = {"shape": [3, 5], "data": params["heads.w"]["data"][:15]}
+        elif breakage == "reshaped trunk.1.w":
+            params["trunk.1.w"]["shape"] = [6, 5]
+        elif breakage == "nan in trunk.0.b":
+            params["trunk.0.b"]["data"][2] = float("nan")
+        elif breakage == "inf in heads.w":
+            params["heads.w"]["data"][0] = float("inf")
+        else:
+            doc["net"]["hidden"] = [6, 0]
+        with pytest.raises(ValueError, match=match):
+            TrainedBundle.from_dict(doc)
+
+    def test_missing_part_for_method_rejected(self):
+        ds = small_ds(seed=18)
+        doc = train(ds, quick_net(its=2), quick_pl(), n_components=4).to_dict()
+        doc["ensemble"] = None
+        with pytest.raises(ValueError, match="no ensemble"):
+            TrainedBundle.from_dict(doc)
 
     def test_from_dict_rejects_unknown_version(self):
         ds = small_ds(seed=16)

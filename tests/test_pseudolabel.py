@@ -3,7 +3,8 @@
 The split oracle re-scans every candidate (feature, midpoint) pair with
 naive loops and checks that each internal node of a fitted tree attains the
 minimum weighted Gini. Tie-break rules are pinned by exact integer-valued
-constructions.
+constructions. The prediction oracle walks one tree for one row at a time,
+node by node, and the packed complete-tree walk must match it exactly.
 """
 
 import json
@@ -16,6 +17,7 @@ from explor.data import Dataset
 from explor.pseudolabel import (
     PseudoLabelConfig,
     PseudoLabelEnsemble,
+    PseudoLabeler,
     Tree,
     fit_ensemble,
     fit_tree,
@@ -78,6 +80,29 @@ def walk_and_check(tree, X, y, min_leaf, max_depth):
         stack.append((int(tree.right[node]), rows[~go_left], depth + 1))
 
 
+def oracle_fraction(tree, x):
+    """Leaf positive fraction of one row; ties go left, NaN fails <= and goes right."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return float(tree.value[node])
+
+
+def oracle_fractions(tree, X):
+    return np.array([oracle_fraction(tree, x) for x in X])
+
+
+def oracle_matrix(ens, X):
+    """(N, K) hard labels: each tree votes on its leaf fraction, each labeler takes the majority."""
+    out = np.zeros((len(X), ens.k), dtype=np.int64)
+    for j, lab in enumerate(ens.labelers):
+        for i, x in enumerate(X):
+            votes = [oracle_fraction(t, x) >= lab.decision_threshold for t in lab.trees]
+            out[i, j] = sum(votes) / len(votes) >= 0.5
+    return out
+
+
 def tree_depth(tree, node=0):
     if tree.feature[node] < 0:
         return 0
@@ -90,13 +115,14 @@ class TestFitTree:
     def test_clean_split(self):
         tree = fit_tree(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 0, 1, 1]))
         assert tree.feature[0] == 0 and tree.threshold[0] == 2.5
-        out = tree.predict_fraction(np.array([[0.0], [2.5], [2.6], [9.0]]))
+        out = oracle_fractions(tree, np.array([[0.0], [2.5], [2.6], [9.0]]))
         assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_boundary_goes_left(self):
         tree = Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 0.2, 0.8])
-        assert tree.predict_fraction(np.array([[0.5]]))[0] == 0.2
-        assert tree.predict_fraction(np.array([[0.50001]]))[0] == 0.8
+        X = np.array([[0.5], [np.nextafter(0.5, 1.0)], [np.nextafter(0.5, 0.0)]])
+        assert oracle_fractions(tree, X).tolist() == [0.2, 0.8, 0.2]
+        assert hand_ensemble([tree]).predict_matrix(X)[:, 0].tolist() == [0, 1, 0]
 
     def test_tie_takes_lowest_feature(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
@@ -158,7 +184,7 @@ class TestFitTree:
         X2[:, 0] = np.exp(X2[:, 0])
         X2[:, 2] = np.arctan(X2[:, 2])
         t2 = fit_tree(X2, y, max_depth=4)
-        assert np.array_equal(t1.predict_fraction(X), t2.predict_fraction(X2))
+        assert np.array_equal(oracle_fractions(t1, X), oracle_fractions(t2, X2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
@@ -174,7 +200,9 @@ class TestFitTree:
         y = rng.integers(0, 2, 50)
         tree = fit_tree(X, y)
         back = Tree.from_dict(json.loads(json.dumps(tree.to_dict())))
-        assert np.array_equal(back.predict_fraction(X), tree.predict_fraction(X))
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(back, name), getattr(tree, name))
+        assert np.array_equal(oracle_fractions(back, X), oracle_fractions(tree, X))
 
 
 # --------------------------------------------------------------- ensemble
@@ -218,14 +246,13 @@ class TestEnsemble:
         assert np.array_equal(small.predict_matrix(X), large.predict_matrix(X)[:, :4])
 
     def test_matrix_matches_per_labeler_predictions(self):
-        """Packed traversal agrees with each labeler's own tree walk."""
+        """Packed traversal agrees with walking each labeler's trees row by row."""
         ds = demo_ds()
         ens = fit_ensemble(ds, PseudoLabelConfig(k=12, seed=3))
         X = np.random.default_rng(4).standard_normal((60, ds.d))
         M = ens.predict_matrix(X)
-        assert set(np.unique(M).tolist()) <= {0, 1}
-        for j, lab in enumerate(ens.labelers):
-            assert np.array_equal(M[:, j], lab.predict(X))
+        assert M.dtype == np.int64 and set(np.unique(M).tolist()) <= {0, 1}
+        assert np.array_equal(M, oracle_matrix(ens, X))
 
     def test_ensemble_mean_is_fraction_of_k(self):
         ds = demo_ds()
@@ -252,7 +279,7 @@ class TestEnsemble:
         ens = fit_ensemble(ds, PseudoLabelConfig(k=5, trees_per_labeler=7, seed=2))
         X = np.random.default_rng(6).standard_normal((40, ds.d))
         lab = ens.labelers[3]
-        votes = np.stack([t.predict_fraction(X) >= lab.decision_threshold for t in lab.trees])
+        votes = np.stack([oracle_fractions(t, X) >= lab.decision_threshold for t in lab.trees])
         manual = (votes.mean(axis=0) >= 0.5).astype(int)
         assert np.array_equal(ens.predict_matrix(X)[:, 3], manual)
 
@@ -270,3 +297,89 @@ class TestEnsemble:
         lax = fit_ensemble(ds, PseudoLabelConfig(k=4, seed=13, decision_threshold=0.01))
         X = np.random.default_rng(14).standard_normal((80, ds.d))
         assert strict.predict_matrix(X).sum() <= lax.predict_matrix(X).sum()
+
+
+# ---------------------------------------------------- packed walk vs oracle
+
+def hand_ensemble(*labelers, threshold=0.5):
+    """Ensemble of hand-built labelers, each a list of Trees."""
+    labs = [PseudoLabeler(trees, [], [], threshold) for trees in labelers]
+    return PseudoLabelEnsemble(labs, PseudoLabelConfig(k=len(labs), trees_per_labeler=len(labelers[0])))
+
+
+def tie_and_nan_rows(ens, d, n, seed):
+    """Rows whose values sit exactly on split thresholds, with some NaNs."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    for lab in ens.labelers:
+        for tree in lab.trees:
+            for f, t in zip(tree.feature, tree.threshold):
+                if f >= 0:
+                    X[rng.random(n) < 0.3, f] = t
+    X[rng.random((n, d)) < 0.1] = np.nan
+    return X
+
+
+# Root splits x0 <= 0: a leaf on the left (depth 1); on the right x1 <= 1
+# leads to a split on x0 <= 2 (leaves at depth 3) or a leaf at depth 2.
+MIXED = Tree(
+    [0, -1, 1, 0, -1, -1, -1],
+    [0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0],
+    [1, -1, 3, 4, -1, -1, -1],
+    [2, -1, 6, 5, -1, -1, -1],
+    [0.5, 0.1, 0.6, 0.5, 0.9, 0.2, 0.7],
+)
+STUMP = Tree([1, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 0.2, 0.8])
+ROOT = Tree([-1], [0.0], [-1], [-1], [0.7])
+
+
+class TestPackedWalk:
+    def test_nan_goes_right(self):
+        ens = hand_ensemble([STUMP], [MIXED])
+        X = np.array([[0.0, np.nan], [np.nan, 0.5], [np.nan, np.nan], [1.0, np.nan]])
+        # STUMP: NaN x1 reaches the 0.8 leaf. MIXED: NaN x0 goes right at the root.
+        assert ens.predict_matrix(X).tolist() == [[1, 0], [0, 0], [1, 1], [1, 1]]
+        assert np.array_equal(ens.predict_matrix(X), oracle_matrix(ens, X))
+
+    def test_root_only_trees(self):
+        ens = hand_ensemble([ROOT], [Tree([-1], [0.0], [-1], [-1], [0.2])])
+        X = np.array([[np.nan], [3.0], [-1.0]])
+        assert ens.predict_matrix(X).tolist() == [[1, 0]] * 3
+        fitted = fit_ensemble(demo_ds(), PseudoLabelConfig(k=5, max_depth=0, seed=4))
+        X = tie_and_nan_rows(fitted, 8, 20, seed=1)
+        assert np.array_equal(fitted.predict_matrix(X), oracle_matrix(fitted, X))
+
+    def test_leaves_at_mixed_depths(self):
+        ens = hand_ensemble([MIXED], [STUMP], [ROOT])
+        grid = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, np.nan]
+        X = np.array([[a, b] for a in grid for b in grid])
+        assert np.array_equal(ens.predict_matrix(X), oracle_matrix(ens, X))
+
+    def test_forest_labelers_with_mixed_depths(self):
+        ens = hand_ensemble([MIXED, STUMP, ROOT], [ROOT, ROOT, STUMP], threshold=0.65)
+        X = tie_and_nan_rows(ens, 2, 80, seed=2)
+        assert np.array_equal(ens.predict_matrix(X), oracle_matrix(ens, X))
+
+    @pytest.mark.parametrize("trees,max_depth", [(1, 6), (3, 6), (3, 10)])
+    def test_fitted_ensembles_and_from_dict(self, trees, max_depth):
+        ds = demo_ds(n=300)
+        ens = fit_ensemble(ds, PseudoLabelConfig(k=6, trees_per_labeler=trees, max_depth=max_depth, min_leaf=1, seed=8))
+        back = PseudoLabelEnsemble.from_dict(json.loads(json.dumps(ens.to_dict())))
+        rng = np.random.default_rng(9)
+        for X in (ds.features, 3.0 * rng.standard_normal((40, ds.d)), tie_and_nan_rows(ens, ds.d, 60, seed=3)):
+            expect = oracle_matrix(ens, X)
+            assert np.array_equal(ens.predict_matrix(X), expect)
+            assert np.array_equal(back.predict_matrix(X), expect)
+
+    def test_tree_deeper_than_max_depth_rejected(self):
+        """The complete layout is bounded by max_depth; a cyclic tree from a bad bundle is caught too."""
+        with pytest.raises(ValueError, match="deeper"):
+            PseudoLabelEnsemble([PseudoLabeler([MIXED], [], [], 0.5)], PseudoLabelConfig(k=1, max_depth=2))
+        cyclic = Tree([0, -1], [0.0, 0.0], [0, -1], [1, -1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="deeper"):
+            PseudoLabelEnsemble([PseudoLabeler([cyclic], [], [], 0.5)], PseudoLabelConfig(k=1))
+
+    def test_too_few_columns_rejected(self):
+        ens = hand_ensemble([MIXED])
+        with pytest.raises(ValueError, match="shape"):
+            ens.predict_matrix(np.zeros((3, 1)))
