@@ -8,7 +8,8 @@ radial growth has a closed form to check against.
 
 import numpy as np
 
-from explor.latent import ExpansionConfig, decode, encode, expand, fit_pca
+from explor.latent import decode, encode, expand_with, fit_pca
+from explor.seeding import generator
 
 rng = np.random.default_rng(0)
 
@@ -32,14 +33,14 @@ print(f"2-component roundtrip error: {np.max(np.abs(X - X_back2)):.2e} "
 Z = encode(lm2, X)
 
 # Expansion: one multiplier per row, never below 1.
-cfg = ExpansionConfig(sigma=0.5, seed=3)
-Zx = expand(Z, cfg)
+sigma = 0.5
+Zx = expand_with(Z, generator(3).normal(0.0, sigma, size=len(Z)))
 ratios = np.linalg.norm(Zx, axis=1) / np.linalg.norm(Z, axis=1)
 print(f"\nper-row norm ratios: min {ratios.min():.4f} (never < 1), "
       f"median {np.median(ratios):.4f}, max {ratios.max():.4f}")
 
 # E|eps| = sigma * sqrt(2/pi) for a half-normal multiplier.
-expected = cfg.sigma * np.sqrt(2 / np.pi)
+expected = sigma * np.sqrt(2 / np.pi)
 print(f"mean growth {ratios.mean() - 1:.4f} vs theoretical {expected:.4f}")
 
 # Expanded rows stay on their original rays.

@@ -8,7 +8,7 @@ probabilities, which keeps rankings stable under distribution shift.
 """
 
 from .data import Dataset, DatasetError, SubsampleSpec, load_csv, make_synthetic_radial, save_csv, subsample
-from .latent import ExpansionConfig, LatentMap, decode, encode, expand, fit_pca
+from .latent import LatentMap, decode, encode, expand_with, fit_pca
 from .metrics import (
     DiversityStats,
     EvalReport,
@@ -53,7 +53,6 @@ __all__ = [
     "DatasetError",
     "DiversityStats",
     "EvalReport",
-    "ExpansionConfig",
     "ExplorNet",
     "FoldResult",
     "LatentMap",
@@ -79,7 +78,7 @@ __all__ = [
     "encode",
     "enrichment_factor",
     "evaluate",
-    "expand",
+    "expand_with",
     "fit_ensemble",
     "fit_pca",
     "fit_tree",

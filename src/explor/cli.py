@@ -14,6 +14,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import metrics as me
 from .data import Dataset, DatasetError, SubsampleSpec, load_csv, load_features, make_synthetic_radial, save_csv, subsample
 from .latent import encode, fit_pca
 from .model import (
+    LOSS_MODES,
     NetConfig,
     TrainedBundle,
     TrainingDivergence,
@@ -44,34 +46,24 @@ class ConfigError(ValueError):
 METHODS = ("explor", "erm", "pl_ens")
 ABLATE_AXES = ("loss_mode", "pl_family", "bottleneck")
 
+
+def _config_defaults(cls) -> dict:
+    """A config dataclass's defaults as JSON values: every field but ``seed``, tuples as lists."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+        if f.name != "seed"
+    }
+
+
 DEFAULTS = {
     "method": "explor",
     "seed": 0,
     "label_column": "label",
     "group_column": None,
     "latent": {"components": None, "sigma": 0.5},
-    "pseudo": {
-        "k": 64,
-        "max_depth": 6,
-        "min_leaf": 2,
-        "instance_fraction": 0.632,
-        "feature_fraction": 0.5,
-        "trees_per_labeler": 1,
-        "decision_threshold": 0.5,
-    },
-    "net": {
-        "hidden": [512, 512],
-        "lambda_expand": 0.5,
-        "batch_size": 256,
-        "iterations": 10000,
-        "learning_rate": 0.001,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "redraw_expansion_each_batch": True,
-        "loss_mode": "full",
-        "snapshot_interval": 2500,
-    },
+    "pseudo": _config_defaults(PseudoLabelConfig),
+    "net": _config_defaults(NetConfig),
     "metrics": {"taus": [0.1, 0.2, 0.3], "ef_fractions": [0.01, 0.05, 0.1]},
     "stability": {"trials": 10, "subsample_fraction": 0.8, "methods": ["explor", "erm"]},
     "loo": {"clusters": 5},
@@ -122,6 +114,21 @@ def _csv_names(text):
     return [x.strip() for x in text.split(",") if x.strip() != ""]
 
 
+# Dataclass-backed keys with no flag of their own: the Adam constants are set
+# in the config file, and the expansion switch is the --redraw/--freeze pair.
+_NO_FLAG = ("beta1", "beta2", "eps", "redraw_expansion_each_batch")
+
+
+def _section_flags(section: str) -> dict:
+    """FLAG_MAP entries for a dataclass-backed DEFAULTS section, each parsed by its default's type."""
+    parse = {int: int, float: float, str: str, list: _csv_ints}
+    return {
+        key: (section, key, parse[type(val)])
+        for key, val in DEFAULTS[section].items()
+        if key not in _NO_FLAG
+    }
+
+
 FLAG_MAP = {
     "method": (None, "method", str),
     "seed": (None, "seed", int),
@@ -129,20 +136,8 @@ FLAG_MAP = {
     "group_column": (None, "group_column", str),
     "components": ("latent", "components", int),
     "sigma": ("latent", "sigma", float),
-    "k": ("pseudo", "k", int),
-    "max_depth": ("pseudo", "max_depth", int),
-    "min_leaf": ("pseudo", "min_leaf", int),
-    "instance_fraction": ("pseudo", "instance_fraction", float),
-    "feature_fraction": ("pseudo", "feature_fraction", float),
-    "trees_per_labeler": ("pseudo", "trees_per_labeler", int),
-    "decision_threshold": ("pseudo", "decision_threshold", float),
-    "hidden": ("net", "hidden", _csv_ints),
-    "lambda_expand": ("net", "lambda_expand", float),
-    "batch_size": ("net", "batch_size", int),
-    "iterations": ("net", "iterations", int),
-    "learning_rate": ("net", "learning_rate", float),
-    "loss_mode": ("net", "loss_mode", str),
-    "snapshot_interval": ("net", "snapshot_interval", int),
+    **_section_flags("pseudo"),
+    **_section_flags("net"),
     "taus": ("metrics", "taus", _csv_floats),
     "ef_fractions": ("metrics", "ef_fractions", _csv_floats),
     "trials": ("stability", "trials", int),
@@ -180,14 +175,6 @@ def resolve_config(config_path, args) -> dict:
     return cfg
 
 
-def _pl_config(cfg: dict, seed: int) -> PseudoLabelConfig:
-    return PseudoLabelConfig(**cfg["pseudo"], seed=seed)
-
-
-def _net_config(cfg: dict, seed: int) -> NetConfig:
-    return NetConfig(**cfg["net"], seed=seed)
-
-
 def _load_dataset(cfg: dict, path: str) -> Dataset:
     return load_csv(path, label_column=cfg["label_column"], group_column=cfg["group_column"])
 
@@ -212,8 +199,8 @@ def _write_json(path, doc) -> None:
 def _train_bundle(cfg: dict, ds: Dataset, base_seed: int | None = None) -> TrainedBundle:
     """Train cfg['method'] on ds with streams derived from the base seed."""
     seed = cfg["seed"] if base_seed is None else base_seed
-    pl_cfg = _pl_config(cfg, derive_seed(seed, "ensemble"))
-    net_cfg = _net_config(cfg, derive_seed(seed, "net"))
+    pl_cfg = PseudoLabelConfig(**cfg["pseudo"], seed=derive_seed(seed, "ensemble"))
+    net_cfg = NetConfig(**cfg["net"], seed=derive_seed(seed, "net"))
     comps = cfg["latent"]["components"]
     method = cfg["method"]
     if method == "explor":
@@ -443,7 +430,7 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
 def _ablate_variants(cfg: dict, axis: str):
     """(variant name, config, score source) rows for one ablation axis."""
     if axis == "loss_mode":
-        for mode in ("full", "match_only", "mean_only", "single_head"):
+        for mode in LOSS_MODES:
             c = copy.deepcopy(cfg)
             c["method"] = "explor"
             c["net"]["loss_mode"] = mode
@@ -503,40 +490,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+# Per-key flag settings beyond "--" + dest with "_" as "-" and FLAG_MAP's parser.
+_FLAG_EXTRAS = {
+    "method": {"choices": METHODS},
+    "hidden": {"help": "comma separated trunk widths"},
+    "lambda_expand": {"flag": "--lambda"},
+    "loss_mode": {"choices": LOSS_MODES},
+}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
     p.add_argument("--output-dir", default=".", help="directory for output artifacts")
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--label-column", dest="label_column", default=None)
-    p.add_argument("--group-column", dest="group_column", default=None)
-    p.add_argument("--components", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p.add_argument("--min-leaf", dest="min_leaf", type=int, default=None)
-    p.add_argument("--instance-fraction", dest="instance_fraction", type=float, default=None)
-    p.add_argument("--feature-fraction", dest="feature_fraction", type=float, default=None)
-    p.add_argument("--trees-per-labeler", dest="trees_per_labeler", type=int, default=None)
-    p.add_argument("--decision-threshold", dest="decision_threshold", type=float, default=None)
-    p.add_argument("--hidden", type=_csv_ints, default=None, help="comma separated trunk widths")
-    p.add_argument("--lambda", dest="lambda_expand", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--loss-mode", dest="loss_mode", choices=("full", "match_only", "mean_only", "single_head"), default=None)
-    p.add_argument("--snapshot-interval", dest="snapshot_interval", type=int, default=None)
+    for dest, (_, _, parse) in FLAG_MAP.items():
+        extra = dict(_FLAG_EXTRAS.get(dest, {}))
+        flag = extra.pop("flag", "--" + dest.replace("_", "-"))
+        p.add_argument(flag, dest=dest, type=parse, default=None, **extra)
     p.add_argument("--redraw-expansion", dest="redraw_expansion", action="store_true", default=None)
     p.add_argument("--freeze-expansion", dest="redraw_expansion", action="store_false")
-    p.add_argument("--taus", type=_csv_floats, default=None)
-    p.add_argument("--ef-fractions", dest="ef_fractions", type=_csv_floats, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--subsample-fraction", dest="subsample_fraction", type=float, default=None)
-    p.add_argument("--stability-methods", dest="stability_methods", type=_csv_names, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--n-id", dest="n_id", type=int, default=None)
-    p.add_argument("--n-ood", dest="n_ood", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,8 @@ Training happens in a PCA latent space. The expansion operator pushes latent
 points outward along their own ray, z' = (1 + |eps|) z with eps ~ N(0, sigma^2),
 so |eps| is half-normal with mean sigma * sqrt(2 / pi). No draw ever moves a
 point toward the origin; the augmented cloud strictly surrounds the original.
+``expand_with`` is the one expansion function: it takes the draws from the
+caller, so training keeps a single seeded stream for them.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .seeding import generator
 
 
 @dataclass
@@ -36,16 +36,6 @@ class LatentMap:
     @property
     def s(self) -> int:
         return self.components.shape[0]
-
-
-@dataclass(frozen=True)
-class ExpansionConfig:
-    sigma: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
 def fit_pca(X, n_components: int | None = None) -> LatentMap:
@@ -89,16 +79,12 @@ def decode(lm: LatentMap, Z) -> np.ndarray:
     return Z @ lm.components + lm.mean
 
 
-def expand(Z, cfg: ExpansionConfig) -> np.ndarray:
-    """Radially expand each latent row by its own factor 1 + |eps|."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {Z.shape}")
-    rng = generator(cfg.seed)
-    eps = rng.normal(0.0, cfg.sigma, size=Z.shape[0])
-    return Z * (1.0 + np.abs(eps))[:, None]
-
-
 def expand_with(Z: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Expansion with explicit draws; used by training loops that own the stream."""
+    """Radially expand each latent row Z[i] by its own factor 1 + |eps[i]|.
+
+    The caller owns the draws, e.g. ``generator(seed).normal(0.0, sigma, len(Z))``.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or np.shape(eps) != (Z.shape[0],):
+        raise ValueError(f"expected an (N, s) matrix and N draws, got shapes {Z.shape} and {np.shape(eps)}")
     return Z * (1.0 + np.abs(eps))[:, None]

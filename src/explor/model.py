@@ -10,6 +10,12 @@ pseudo-labels, mean_abs is the l1 gap between the mean head probability and
 the mean pseudo-label per point, and Ex(D) is the radial expansion of the
 batch, which supplies matching targets outside the training shell.
 
+One loop, ``_fit_net``, trains the net in both settings: ``train`` matches
+the labelers on raw and expanded batches, and the ERM baseline
+``train_erm`` runs the match loss against the true labels with no expansion
+and averages parameter snapshots. Both share the optimiser, the batch
+stream and the finite and divergence checks.
+
 Trunk weights use Kaiming-uniform fan-in init. Head weights and all biases
 start at zero, so an untrained net outputs probability 0.5 on every head and
 the bagged predictor degrades to (ensemble_mean + 0.5) / 2.
@@ -21,7 +27,7 @@ bit-for-bit (single fixed reduction order, no threading in the Python layer).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -125,11 +131,8 @@ class ExplorNet:
         self.params["heads.b"] = np.zeros(self.heads)
 
     def param_names(self):
-        names = []
-        for i in range(len(self.hidden)):
-            names.extend([f"trunk.{i}.w", f"trunk.{i}.b"])
-        names.extend(["heads.w", "heads.b"])
-        return names
+        """Parameter names in layer order: trunk.i.w, trunk.i.b, ..., heads.w, heads.b."""
+        return list(self.params)
 
     def forward(self, Z: np.ndarray):
         """Head logits for latent rows Z, plus the caches backward needs."""
@@ -204,12 +207,8 @@ def loss_terms(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig):
     The expand part is reported unweighted; the total applies lambda. With
     lambda = 0 the total is exactly mean + match of the unexpanded batch.
     """
-    total, parts, _ = _loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=False)
+    total, parts, _ = loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=False)
     return total, parts
-
-
-def loss_and_grads(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig):
-    return _loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=True)
 
 
 def _match_loss(logits, probs, targets):
@@ -243,7 +242,8 @@ def _batch_loss(logits, targets, mean_only):
     return _match_loss(logits, probs, targets)
 
 
-def _loss_and_grads(net, Z, targets, Z_exp, targets_exp, cfg, want_grads=True):
+def loss_and_grads(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig, want_grads=True):
+    """Loss total, the (match, mean, expand) parts and the parameter gradients (None unless ``want_grads``)."""
     Z = np.asarray(Z, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     mode = cfg.loss_mode
@@ -330,34 +330,29 @@ class _BatchStream:
         return out
 
 
-def _check_finite_grads(grads: dict) -> None:
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergence(f"non-finite gradient in {name}", trace=None)
-
-
-def _check_finite_params(net: ExplorNet, trace) -> None:
-    for name, p in net.params.items():
-        if not np.all(np.isfinite(p)):
-            raise TrainingDivergence(f"non-finite parameter {name} after update", trace)
+def _check_finite(arrays: dict, what: str, trace) -> None:
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise TrainingDivergence(f"non-finite {what} {name}", trace)
 
 
 @dataclass
 class TrainedBundle:
-    """Everything a deployment needs: latent map, labelers, net, and the trace."""
+    """Everything a deployment needs: latent map, labelers, net, and the trace.
+
+    The parts a method does not use stay at their defaults.
+    """
 
     method: str
     latent_map: LatentMap
-    ensemble: PseudoLabelEnsemble | None
-    net: ExplorNet | None
-    net_config: NetConfig | None
-    pl_config: PseudoLabelConfig | None
-    sigma: float
+    ensemble: PseudoLabelEnsemble | None = None
+    net: ExplorNet | None = None
+    net_config: NetConfig | None = None
+    pl_config: PseudoLabelConfig | None = None
+    sigma: float = 0.0
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        nc = None if self.net_config is None else asdict(self.net_config)
-        pc = None if self.pl_config is None else asdict(self.pl_config)
         return {
             "format_version": 1,
             "method": self.method,
@@ -368,8 +363,8 @@ class TrainedBundle:
             },
             "ensemble": None if self.ensemble is None else self.ensemble.to_dict(),
             "net": None if self.net is None else self.net.to_dict(),
-            "net_config": nc,
-            "pl_config": pc,
+            "net_config": None if self.net_config is None else asdict(self.net_config),
+            "pl_config": None if self.pl_config is None else asdict(self.pl_config),
             "sigma": self.sigma,
             "trace": [[float(a), float(b), float(c)] for a, b, c in self.trace],
         }
@@ -390,21 +385,13 @@ class TrainedBundle:
             components=np.array(doc["latent_map"]["components"], dtype=np.float64),
             explained_variance=np.array(doc["latent_map"]["explained_variance"], dtype=np.float64),
         )
-        nc = None
-        if doc["net_config"] is not None:
-            d = dict(doc["net_config"])
-            d["hidden"] = tuple(d["hidden"])
-            nc = NetConfig(**d)
-        pc = None
-        if doc["pl_config"] is not None:
-            pc = PseudoLabelConfig(**doc["pl_config"])
         return cls(
             method=method,
             latent_map=lm,
             ensemble=None if doc["ensemble"] is None else PseudoLabelEnsemble.from_dict(doc["ensemble"]),
             net=None if doc["net"] is None else ExplorNet.from_dict(doc["net"]),
-            net_config=nc,
-            pl_config=pc,
+            net_config=None if doc["net_config"] is None else NetConfig(**doc["net_config"]),
+            pl_config=None if doc["pl_config"] is None else PseudoLabelConfig(**doc["pl_config"]),
             sigma=doc["sigma"],
             trace=[tuple(t) for t in doc["trace"]],
         )
@@ -428,9 +415,41 @@ def load_bundle(path) -> TrainedBundle:
             raise ValueError(f"{path}: malformed bundle: {exc}") from None
 
 
-def _resolve_components(n_components, n, d) -> int:
-    cap = 128 if n_components is None else int(n_components)
-    return min(cap, n - 1, d)
+def _latent(ds: Dataset, n_components):
+    """The PCA map fit on ds and ds's rows encoded by it."""
+    lm = fit_pca(ds.features, n_components)
+    return lm, encode(lm, ds.features)
+
+
+def _fit_net(Z, targets, heads: int, cfg: NetConfig, expansion=None, snapshot_interval=None):
+    """The one training loop: Adam steps of ``loss_and_grads`` fit a ``heads``-head net to (Z, targets).
+
+    ``expansion(idx)`` returns the expanded rows and their targets for batch
+    ``idx``. With ``snapshot_interval`` the net ends as the mean of the
+    snapshots taken every that many iterations, if any. Returns the net and
+    the trace.
+    """
+    net = ExplorNet(Z.shape[1], cfg.hidden, heads, seed=cfg.seed)
+    opt = Adam(net, cfg)
+    stream = _BatchStream(len(Z), cfg.batch_size, derive_seed(cfg.seed, "batches"))
+    trace = []
+    snapshots = []
+    for it in range(1, cfg.iterations + 1):
+        idx = stream.next()
+        Zx, Gx = (None, None) if expansion is None else expansion(idx)
+        total, parts, grads = loss_and_grads(net, Z[idx], targets[idx], Zx, Gx, cfg)
+        _check_finite(grads, "gradient in", None)
+        opt.step(grads)
+        _check_finite(net.params, "parameter after the update:", trace)
+        trace.append((parts["match"], parts["mean"], parts["expand"]))
+        if total > 1e6:
+            raise TrainingDivergence(f"loss diverged to {total}", trace)
+        if snapshot_interval is not None and it % snapshot_interval == 0:
+            snapshots.append({k: v.copy() for k, v in net.params.items()})
+    if snapshots:
+        for name in net.param_names():
+            net.params[name] = sum(s[name] for s in snapshots) / len(snapshots)
+    return net, trace
 
 
 def train(
@@ -449,40 +468,23 @@ def train(
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    lm = fit_pca(ds.features, n_components)
-    Z = encode(lm, ds.features)
+    lm, Z = _latent(ds, n_components)
     ens = fit_ensemble(Dataset(Z, ds.labels), pl_cfg)
     pseudo = ens.predict_matrix(Z).astype(np.float64)
-
-    heads = 1 if net_cfg.loss_mode == "single_head" else ens.k
-    net = ExplorNet(lm.s, net_cfg.hidden, heads, seed=net_cfg.seed)
-    opt = Adam(net, net_cfg)
-    stream = _BatchStream(ds.n, net_cfg.batch_size, derive_seed(net_cfg.seed, "batches"))
     rng_exp = generator(derive_seed(net_cfg.seed, "expansion"))
-
-    if not net_cfg.redraw_expansion_each_batch:
-        eps_fixed = rng_exp.normal(0.0, sigma, size=ds.n)
-        Z_exp_all = expand_with(Z, eps_fixed)
+    if net_cfg.redraw_expansion_each_batch:
+        def expansion(idx):
+            Zx = expand_with(Z[idx], rng_exp.normal(0.0, sigma, size=idx.size))
+            return Zx, ens.predict_matrix(Zx).astype(np.float64)
+    else:
+        Z_exp_all = expand_with(Z, rng_exp.normal(0.0, sigma, size=ds.n))
         pseudo_exp_all = ens.predict_matrix(Z_exp_all).astype(np.float64)
 
-    trace = []
-    for _ in range(net_cfg.iterations):
-        idx = stream.next()
-        Zb, Gb = Z[idx], pseudo[idx]
-        if net_cfg.redraw_expansion_each_batch:
-            eps = rng_exp.normal(0.0, sigma, size=idx.size)
-            Zx = expand_with(Zb, eps)
-            Gx = ens.predict_matrix(Zx).astype(np.float64)
-        else:
-            Zx, Gx = Z_exp_all[idx], pseudo_exp_all[idx]
-        total, parts, grads = loss_and_grads(net, Zb, Gb, Zx, Gx, net_cfg)
-        _check_finite_grads(grads)
-        opt.step(grads)
-        _check_finite_params(net, trace)
-        trace.append((parts["match"], parts["mean"], parts["expand"]))
-        if total > 1e6:
-            raise TrainingDivergence(f"loss diverged to {total}", trace)
+        def expansion(idx):
+            return Z_exp_all[idx], pseudo_exp_all[idx]
 
+    heads = 1 if net_cfg.loss_mode == "single_head" else ens.k
+    net, trace = _fit_net(Z, pseudo, heads, net_cfg, expansion)
     return TrainedBundle(
         method="explor",
         latent_map=lm,
@@ -505,65 +507,33 @@ def train_erm(
 
     The deployed parameters are the uniform average of snapshots taken every
     ``snapshot_interval`` iterations (the final parameters if none were
-    taken). The trace stores the label loss in the match slot.
+    taken). The trace stores the label loss in the match slot. The loop runs
+    the ``match_only`` loss with no expansion term, which is the plain label
+    BCE whatever ``loss_mode`` and ``lambda_expand`` say; the bundle keeps
+    ``net_cfg`` as given.
     """
-    lm = fit_pca(ds.features, n_components)
-    Z = encode(lm, ds.features)
-    y = ds.labels.astype(np.float64)
-
-    net = ExplorNet(lm.s, net_cfg.hidden, heads, seed=net_cfg.seed)
-    opt = Adam(net, net_cfg)
-    stream = _BatchStream(ds.n, net_cfg.batch_size, derive_seed(net_cfg.seed, "batches"))
-
-    trace = []
-    snapshots = []
-    for it in range(1, net_cfg.iterations + 1):
-        idx = stream.next()
-        Zb = Z[idx]
-        targets = np.repeat(y[idx][:, None], heads, axis=1)
-        logits, cache = net.forward(Zb)
-        loss, dlogits = _batch_loss(logits, targets, mean_only=False)
-        grads = net.zero_grads()
-        net.backward(cache, dlogits, grads)
-        _check_finite_grads(grads)
-        opt.step(grads)
-        _check_finite_params(net, trace)
-        trace.append((loss, 0.0, 0.0))
-        if loss > 1e6:
-            raise TrainingDivergence(f"loss diverged to {loss}", trace)
-        if it % net_cfg.snapshot_interval == 0:
-            snapshots.append({k: v.copy() for k, v in net.params.items()})
-
-    if snapshots:
-        for name in net.param_names():
-            net.params[name] = sum(s[name] for s in snapshots) / len(snapshots)
-
+    lm, Z = _latent(ds, n_components)
+    targets = np.repeat(ds.labels.astype(np.float64)[:, None], heads, axis=1)
+    loop_cfg = replace(net_cfg, loss_mode="match_only", lambda_expand=0.0)
+    net, trace = _fit_net(Z, targets, heads, loop_cfg, snapshot_interval=net_cfg.snapshot_interval)
     return TrainedBundle(
         method="erm",
         latent_map=lm,
-        ensemble=None,
         net=net,
         net_config=net_cfg,
-        pl_config=None,
-        sigma=0.0,
         trace=trace,
     )
 
 
 def train_pl_ens(ds: Dataset, pl_cfg: PseudoLabelConfig, n_components: int | None = None) -> TrainedBundle:
     """Latent map plus pseudo-labeler ensemble only, no network."""
-    lm = fit_pca(ds.features, n_components)
-    Z = encode(lm, ds.features)
+    lm, Z = _latent(ds, n_components)
     ens = fit_ensemble(Dataset(Z, ds.labels), pl_cfg)
     return TrainedBundle(
         method="pl_ens",
         latent_map=lm,
         ensemble=ens,
-        net=None,
-        net_config=None,
         pl_config=pl_cfg,
-        sigma=0.0,
-        trace=[],
     )
 
 

@@ -64,7 +64,9 @@ class Tree:
     """A CART tree as flat node arrays with explicit child indices.
 
     ``feature[i] == -1`` marks a leaf; ``value[i]`` is the node's positive
-    fraction. Internal nodes route left iff x[feature] <= threshold.
+    fraction. Internal nodes route left iff x[feature] <= threshold. The
+    arrays are checked on construction, so a bundle's tree cannot link into
+    a neighbouring tree of the packed tables.
     """
 
     def __init__(self, feature, threshold, left, right, value):
@@ -73,6 +75,18 @@ class Tree:
         self.left = np.asarray(left, dtype=np.int32)
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
+        n = self.feature.size
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise ValueError(f"tree node arrays must be 1-d, nonempty and equally long, got {[a.shape for a in arrays]}")
+        if np.any(self.feature < -1):
+            raise ValueError("tree features must be >= -1")
+        internal = self.feature >= 0
+        children = np.concatenate([self.left[internal], self.right[internal]])
+        if np.any((children < 0) | (children >= n)):
+            raise ValueError(f"tree child index outside [0, {n})")
+        if not np.all((self.value >= 0.0) & (self.value <= 1.0)):
+            raise ValueError("tree node values must be in [0, 1]")
 
     @property
     def n_nodes(self) -> int:

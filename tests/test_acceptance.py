@@ -17,7 +17,7 @@ import pytest
 
 from explor.cli import DEFAULTS, _merge_config, main, run_stability
 from explor.data import Dataset, make_synthetic_radial
-from explor.latent import ExpansionConfig, decode, encode, expand, fit_pca
+from explor.latent import decode, encode, expand_with, fit_pca
 from explor.metrics import ScoredSet, auprc_truncated, auroc, evaluate
 from explor.model import (
     ExplorNet,
@@ -30,7 +30,7 @@ from explor.model import (
     train_pl_ens,
 )
 from explor.pseudolabel import PseudoLabelConfig
-from explor.seeding import derive_seed
+from explor.seeding import derive_seed, generator
 from explor.splits import (
     FoldResult,
     _assign,
@@ -169,7 +169,7 @@ def test_criterion_03_expansion_law():
     n, sigma = 100_000, 0.5
     rng = np.random.default_rng(3)
     Z = rng.standard_normal((n, 3))
-    Zx = expand(Z, ExpansionConfig(sigma=sigma, seed=11))
+    Zx = expand_with(Z, generator(11).normal(0.0, sigma, size=len(Z)))
     norms = np.linalg.norm(Z, axis=1)
     norms_x = np.linalg.norm(Zx, axis=1)
     growth = norms_x / norms - 1.0

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from explor.cli import (
+    FLAG_MAP,
     ConfigError,
     DEFAULTS,
     _merge_config,
+    build_parser,
     load_config,
     main,
+    resolve_config,
     run_stability,
 )
 from explor.data import Dataset, load_csv, make_synthetic_radial, save_csv
@@ -83,6 +86,84 @@ class TestConfig:
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # --train is required
+        assert exc.value.code == 1
+
+
+# Every per-key flag: its spelling, one value, the config path it sets and
+# the parsed value. Written out by hand so a change to the flag surface fails here.
+FLAG_TABLE = [
+    ("--method", "erm", "method", "erm"),
+    ("--seed", "5", "seed", 5),
+    ("--label-column", "y", "label_column", "y"),
+    ("--group-column", "g", "group_column", "g"),
+    ("--components", "3", "latent.components", 3),
+    ("--sigma", "0.25", "latent.sigma", 0.25),
+    ("--k", "7", "pseudo.k", 7),
+    ("--max-depth", "3", "pseudo.max_depth", 3),
+    ("--min-leaf", "4", "pseudo.min_leaf", 4),
+    ("--instance-fraction", "0.5", "pseudo.instance_fraction", 0.5),
+    ("--feature-fraction", "0.75", "pseudo.feature_fraction", 0.75),
+    ("--trees-per-labeler", "3", "pseudo.trees_per_labeler", 3),
+    ("--decision-threshold", "0.4", "pseudo.decision_threshold", 0.4),
+    ("--hidden", "8,4", "net.hidden", [8, 4]),
+    ("--lambda", "0.3", "net.lambda_expand", 0.3),
+    ("--batch-size", "32", "net.batch_size", 32),
+    ("--iterations", "9", "net.iterations", 9),
+    ("--learning-rate", "0.01", "net.learning_rate", 0.01),
+    ("--loss-mode", "mean_only", "net.loss_mode", "mean_only"),
+    ("--snapshot-interval", "5", "net.snapshot_interval", 5),
+    ("--taus", "0.1,0.5", "metrics.taus", [0.1, 0.5]),
+    ("--ef-fractions", "0.02", "metrics.ef_fractions", [0.02]),
+    ("--trials", "4", "stability.trials", 4),
+    ("--subsample-fraction", "0.6", "stability.subsample_fraction", 0.6),
+    ("--stability-methods", "erm, pl_ens", "stability.methods", ["erm", "pl_ens"]),
+    ("--clusters", "3", "loo.clusters", 3),
+    ("--n-id", "50", "synth.n_id", 50),
+    ("--n-ood", "20", "synth.n_ood", 20),
+    ("--d", "6", "synth.d", 6),
+]
+
+
+def config_at(cfg, path):
+    for key in path.split("."):
+        cfg = cfg[key]
+    return cfg
+
+
+class TestFlagSurface:
+    def test_table_covers_every_flag(self):
+        dests = {flag[2:].replace("-", "_") for flag, _, _, _ in FLAG_TABLE} - {"lambda"}
+        assert dests | {"lambda_expand"} == set(FLAG_MAP)
+
+    @pytest.mark.parametrize("flag,value,path,want", FLAG_TABLE, ids=[row[0] for row in FLAG_TABLE])
+    def test_flag_sets_its_key(self, flag, value, path, want):
+        args = build_parser().parse_args(["synth", flag, value])
+        cfg = resolve_config(None, args)
+        assert config_at(cfg, path) == want
+        # Only that key moves.
+        top, _, rest = path.partition(".")
+        if rest:
+            cfg[top][rest] = config_at(DEFAULTS, path)
+        else:
+            cfg[top] = DEFAULTS[top]
+        assert cfg == DEFAULTS
+
+    @pytest.mark.parametrize("argv,want", [([], True), (["--freeze-expansion"], False), (["--redraw-expansion"], True)])
+    def test_expansion_pair(self, argv, want):
+        cfg = resolve_config(None, build_parser().parse_args(["synth", *argv]))
+        assert cfg["net"]["redraw_expansion_each_batch"] is want
+
+    @pytest.mark.parametrize("flag", ["--method", "--loss-mode"])
+    def test_bad_choice_exits_one(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", flag, "bogus"])
+        assert exc.value.code == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps"])
+    def test_adam_constants_are_file_only(self, key, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["synth", f"--{key}", "0.5"])
         assert exc.value.code == 1
 
 
@@ -246,7 +327,7 @@ class TestMalformedBundle:
         assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
         return tmp_path, base, json.loads((tmp_path / "bundle.json").read_text())
 
-    @pytest.mark.parametrize("breakage", ["no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net"])
+    @pytest.mark.parametrize("breakage", ["no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net", "tree_child_out_of_range"])
     def test_predict_exits_one_without_traceback(self, workdir, capsys, breakage):
         tmp_path, base, doc = self.fitted(workdir)
         if breakage == "no_latent_map":
@@ -257,6 +338,10 @@ class TestMalformedBundle:
             del doc["net"]["params"]
         elif breakage == "not_an_object":
             doc = [doc]
+        elif breakage == "tree_child_out_of_range":
+            trees = [t for lab in doc["ensemble"]["labelers"] for t in lab["trees"]]
+            tree = next(t for t in trees if t["feature"][0] >= 0)
+            tree["left"][0] = -1
         else:
             doc["net"] = None
         (tmp_path / "broken.json").write_text(json.dumps(doc))

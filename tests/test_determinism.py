@@ -1,0 +1,46 @@
+"""Artifacts do not depend on the BLAS thread count.
+
+Each run is a fresh process with ``OPENBLAS_NUM_THREADS`` set before numpy
+loads. It runs the criterion-8 ``synth -> fit -> predict`` chain, then an
+ERM fit on the default 512x512 net, whose batch products are large enough
+for OpenBLAS to split them across threads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ARTIFACTS = ("bundle.json", "predictions.csv", "erm/bundle.json")
+
+
+def run_chain(out: Path, threads: int) -> dict:
+    out.mkdir()
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps({
+        "latent": {"components": 4},
+        "pseudo": {"k": 8, "max_depth": 4},
+        "net": {"hidden": [16, 16], "iterations": 60, "batch_size": 64},
+        "synth": {"n_id": 300, "n_ood": 150, "d": 5},
+    }))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    base = ["--config", str(cfg), "--output-dir", str(out)]
+    wide = ["--method", "erm", "--hidden", "512,512", "--iterations", "8", "--batch-size", "256", "--snapshot-interval", "4"]
+    for argv in (
+        ["synth", *base],
+        ["fit", "--train", str(out / "train.csv"), *base],
+        ["predict", "--bundle", str(out / "bundle.json"), "--data", str(out / "ood_test.csv"), *base],
+        ["fit", "--train", str(out / "train.csv"), *base, *wide, "--output-dir", str(out / "erm")],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "explor.cli", *argv], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
+def test_artifacts_match_across_blas_thread_counts(tmp_path):
+    one = run_chain(tmp_path / "t1", 1)
+    two = run_chain(tmp_path / "t2", 2)
+    assert {name: one[name] == two[name] for name in ARTIFACTS} == {name: True for name in ARTIFACTS}

@@ -6,7 +6,11 @@ artifact byte-identical. These tests pin the sha256 of
 - ``bundle.json``, ``predictions.csv`` and ``report.json`` from the
   command-line chain at the criterion-8 config, and
 - library ``train`` bundles at the benchmark config (N=2000, d=8, k=64,
-  hidden 64,64, 50 iterations, seed 7) in four loss variants.
+  hidden 64,64, 50 iterations, seed 7) in four loss variants, and with the
+  expansion drawn once up front, and
+- ``train_erm`` and ``train_pl_ens`` bundles at the same config: ERM with
+  snapshot averaging on (a snapshot every 20 iterations) and with no
+  snapshot taken under a loss mode that ERM ignores.
 
 Network weights depend on the BLAS kernels, so the reference digests are
 keyed by numpy version and BLAS build. On a build with no reference the
@@ -23,7 +27,7 @@ import pytest
 
 from explor.cli import main
 from explor.data import make_synthetic_radial
-from explor.model import NetConfig, save_bundle, train
+from explor.model import NetConfig, save_bundle, train, train_erm, train_pl_ens
 from explor.pseudolabel import PseudoLabelConfig
 
 
@@ -44,6 +48,12 @@ REFERENCE = {
             "match_only": "3d9212764b383f2e862dfc14dd147955cdea366a2e9babbada971a5f4c88e974",
             "mean_only": "bd82694c5f24b8f310869e5367e34d06010b23ba38f66fac9d89086f4ad32531",
             "single_head": "9cf1e19e32a3d232b566a0983b8d2c1f71abda222a6270d9ca04561048470bcf",
+        },
+        "bench_other": {
+            "frozen_expansion": "e2542735202ca048820c41b1694188cb1b3ecc1057e2bf1e7c827b34bee58c9d",
+            "erm_snapshots": "309443ffa2f02365f02a94d2cf152b62630df461fe01bf7cd63369c329a92b12",
+            "erm_no_snapshot": "03d1facc23a8e0ece1810fb5e141b4a4821c1d4172b91e378f131235d0fd5173",
+            "pl_ens": "64916c09b014b4ead0ba0d79738c05f6aef0d1bc9ebcaf551eb93072d28e2a61",
         },
     },
 }
@@ -99,3 +109,31 @@ def test_bench_train_bundle(variant, bench_ds, tmp_path):
     path = tmp_path / "bundle.json"
     save_bundle(train(bench_ds, net_cfg, pl_cfg), path)
     check("bench_train", {variant: sha256(path)})
+
+
+def test_bench_train_frozen_expansion(bench_ds, tmp_path):
+    net_cfg = NetConfig(hidden=(64, 64), iterations=50, redraw_expansion_each_batch=False, seed=7)
+    pl_cfg = PseudoLabelConfig(k=64, seed=7)
+    path = tmp_path / "bundle.json"
+    save_bundle(train(bench_ds, net_cfg, pl_cfg), path)
+    check("bench_other", {"frozen_expansion": sha256(path)})
+
+
+ERM_VARIANTS = {
+    "erm_snapshots": {"snapshot_interval": 20},
+    "erm_no_snapshot": {"loss_mode": "single_head"},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ERM_VARIANTS))
+def test_bench_train_erm_bundle(variant, bench_ds, tmp_path):
+    net_cfg = NetConfig(hidden=(64, 64), iterations=50, seed=7, **ERM_VARIANTS[variant])
+    path = tmp_path / "bundle.json"
+    save_bundle(train_erm(bench_ds, net_cfg, heads=64), path)
+    check("bench_other", {variant: sha256(path)})
+
+
+def test_bench_train_pl_ens_bundle(bench_ds, tmp_path):
+    path = tmp_path / "bundle.json"
+    save_bundle(train_pl_ens(bench_ds, PseudoLabelConfig(k=64, seed=7)), path)
+    check("bench_other", {"pl_ens": sha256(path)})

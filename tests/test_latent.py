@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from explor.latent import ExpansionConfig, expand, expand_with, decode, encode, fit_pca
+from explor.latent import decode, encode, expand_with, fit_pca
+from explor.seeding import generator
+
+
+def expand(Z, sigma, seed):
+    """One seeded half-normal expansion of every row."""
+    return expand_with(Z, generator(seed).normal(0.0, sigma, size=len(Z)))
 
 
 class TestFitPca:
@@ -79,7 +85,7 @@ class TestExpansion:
     def test_never_shrinks_and_keeps_rays(self):
         rng = np.random.default_rng(19)
         Z = rng.standard_normal((500, 6))
-        Zx = expand(Z, ExpansionConfig(sigma=0.7, seed=4))
+        Zx = expand(Z, 0.7, 4)
         ratios = np.linalg.norm(Zx, axis=1) / np.linalg.norm(Z, axis=1)
         assert np.all(ratios >= 1.0)
         # Each output row is a scalar multiple of its input row.
@@ -92,7 +98,7 @@ class TestExpansion:
         n = 200_000
         rng = np.random.default_rng(23)
         Z = rng.standard_normal((n, 3))
-        Zx = expand(Z, ExpansionConfig(sigma=sigma, seed=29))
+        Zx = expand(Z, sigma, 29)
         growth = np.linalg.norm(Zx, axis=1) / np.linalg.norm(Z, axis=1) - 1.0
         want = sigma * np.sqrt(2 / np.pi)
         se = sigma * np.sqrt(1 - 2 / np.pi) / np.sqrt(n)
@@ -101,13 +107,13 @@ class TestExpansion:
     def test_vanishing_sigma_is_identity(self):
         rng = np.random.default_rng(31)
         Z = rng.standard_normal((50, 4))
-        Zx = expand(Z, ExpansionConfig(sigma=1e-12, seed=1))
+        Zx = expand(Z, 1e-12, 1)
         assert np.allclose(Zx, Z, rtol=1e-9, atol=1e-12)
 
     def test_deterministic(self):
         Z = np.random.default_rng(37).standard_normal((20, 3))
-        a = expand(Z, ExpansionConfig(sigma=0.5, seed=8))
-        b = expand(Z, ExpansionConfig(sigma=0.5, seed=8))
+        a = expand(Z, 0.5, 8)
+        b = expand(Z, 0.5, 8)
         assert np.array_equal(a, b)
 
     def test_explicit_draws(self):
@@ -115,6 +121,9 @@ class TestExpansion:
         out = expand_with(Z, np.array([-0.5, 1.0]))
         assert np.allclose(out, [[1.5, 0.0], [0.0, 4.0]])
 
-    def test_sigma_must_be_positive(self):
+    def test_draws_must_match_rows(self):
+        Z = np.ones((3, 2))
         with pytest.raises(ValueError):
-            ExpansionConfig(sigma=0.0)
+            expand_with(Z, np.zeros(2))
+        with pytest.raises(ValueError):
+            expand_with(Z[0], np.zeros(2))

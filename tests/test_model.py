@@ -422,6 +422,21 @@ class TestErm:
         for name in plain.net.param_names():
             assert np.array_equal(plain.net.params[name], snap.net.params[name])
 
+    def test_loss_mode_and_lambda_ignored_but_kept_in_bundle(self):
+        """ERM trains the label BCE alone; the bundle still records the caller's config."""
+        ds = small_ds(seed=14)
+        base = train_erm(ds, quick_net(its=6), heads=3, n_components=4)
+        cfg = quick_net(its=6, loss_mode="mean_only", lambda_expand=2.0)
+        odd = train_erm(ds, cfg, heads=3, n_components=4)
+        assert odd.net_config == cfg
+        assert odd.trace == base.trace and all(row[1:] == (0.0, 0.0) for row in odd.trace)
+        for name in base.net.param_names():
+            assert np.array_equal(odd.net.params[name], base.net.params[name])
+
+    def test_divergence_raises(self):
+        with pytest.raises(TrainingDivergence):
+            train_erm(small_ds(seed=15), quick_net(its=60, learning_rate=1e6), heads=2, n_components=4)
+
     def test_predict_is_mean_head_probability(self):
         ds = small_ds(seed=12)
         b = train_erm(ds, quick_net(its=10), heads=4, n_components=4)

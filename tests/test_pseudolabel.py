@@ -379,6 +379,27 @@ class TestPackedWalk:
         with pytest.raises(ValueError, match="deeper"):
             PseudoLabelEnsemble([PseudoLabeler([cyclic], [], [], 0.5)], PseudoLabelConfig(k=1))
 
+    @pytest.mark.parametrize("breakage", ["left_negative", "right_past_end", "short_value", "feature_below_leaf", "value_above_one", "value_nan", "empty"])
+    def test_malformed_tree_rejected(self, breakage):
+        """A child link outside the tree would read a node of the next tree in the packed tables."""
+        arrays = {k: list(v) for k, v in STUMP.to_dict().items()}
+        if breakage == "left_negative":
+            arrays["left"][0] = -1
+        elif breakage == "right_past_end":
+            arrays["right"][0] = 3
+        elif breakage == "short_value":
+            arrays["value"].pop()
+        elif breakage == "feature_below_leaf":
+            arrays["feature"][1] = -2
+        elif breakage == "value_above_one":
+            arrays["value"][2] = 1.5
+        elif breakage == "value_nan":
+            arrays["value"][0] = float("nan")
+        else:
+            arrays = {k: [] for k in arrays}
+        with pytest.raises(ValueError):
+            Tree.from_dict(arrays)
+
     def test_too_few_columns_rejected(self):
         ens = hand_ensemble([MIXED])
         with pytest.raises(ValueError, match="shape"):
