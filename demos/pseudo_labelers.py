@@ -21,11 +21,12 @@ ds = Dataset(X, y)
 cfg = PseudoLabelConfig(k=16, max_depth=4, seed=9)
 ens = fit_ensemble(ds, cfg)
 
-# Every labeler holds its own rows and features.
-print("labeler  rows  features")
-for j, lab in enumerate(ens.labelers[:6]):
-    print(f"{j:>7}  {lab.instance_indices.size:>4}  {lab.feature_indices.tolist()}")
-print(f"... {ens.k} labelers total, all distinct subsets\n")
+# Every labeler is one tree here, and it splits only on the features of
+# its own column subset.
+print("labeler  split features")
+for j, tree in enumerate(ens.trees[:6]):
+    print(f"{j:>7}  {sorted(set(tree.feature[tree.feature >= 0].tolist()))}")
+print(f"... {ens.k} labelers total\n")
 
 # Training accuracy per labeler: diverse but each better than the prior.
 votes = ens.predict_matrix(X)

@@ -40,7 +40,7 @@ from .model import (
     train_erm,
     train_pl_ens,
 )
-from .pseudolabel import PseudoLabelConfig, PseudoLabelEnsemble, PseudoLabeler, Tree, fit_ensemble, fit_tree
+from .pseudolabel import PseudoLabelConfig, PseudoLabelEnsemble, Tree, fit_ensemble, fit_tree
 from .seeding import derive_seed
 from .splits import ClusterModel, FoldResult, cluster_split, column_split, kmeans, leave_one_out_folds, weighted_summary
 
@@ -59,7 +59,6 @@ __all__ = [
     "NetConfig",
     "PseudoLabelConfig",
     "PseudoLabelEnsemble",
-    "PseudoLabeler",
     "ScoredSet",
     "SubsampleSpec",
     "TrainedBundle",

@@ -71,16 +71,29 @@ DEFAULTS = {
 }
 
 
+def _same_kind(default, val) -> bool:
+    """Whether ``val`` may replace ``default``: a float takes an int, a bool is never a number, None takes anything."""
+    if default is None:
+        return True
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_same_kind(default[0], v) for v in val)
+    if isinstance(val, bool) != isinstance(default, bool):
+        return False
+    return isinstance(val, (int, float) if isinstance(default, float) else type(default))
+
+
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and key != "group_column":
+        if isinstance(base[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
             out[key] = _merge_config(base[key], val, where)
+        elif not _same_kind(base[key], val):
+            raise ConfigError(f"config key {where!r} must be of the same type as its default {base[key]!r}, got {val!r}")
         else:
             out[key] = val
     return out
@@ -91,9 +104,13 @@ def load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is None:
         return cfg
+
+    def reject(name):
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

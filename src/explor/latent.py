@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_finite
+
 
 @dataclass
 class LatentMap:
@@ -64,10 +66,11 @@ def fit_pca(X, n_components: int | None = None) -> LatentMap:
 
 
 def encode(lm: LatentMap, X) -> np.ndarray:
-    """Project rows of X into the latent space."""
+    """Project rows of X into the latent space; every feature must be finite."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != lm.d:
         raise ValueError(f"expected shape (N, {lm.d}), got {X.shape}")
+    _check_finite(X)
     return (X - lm.mean) @ lm.components.T
 
 

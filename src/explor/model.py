@@ -96,17 +96,17 @@ class NetConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden must be nonempty positive widths, got {self.hidden}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 0:
+        if not self.iterations >= 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lambda_expand < 0:
+        if not self.lambda_expand >= 0:
             raise ValueError(f"lambda_expand must be >= 0, got {self.lambda_expand}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.snapshot_interval < 1:
+        if not self.snapshot_interval >= 1:
             raise ValueError(f"snapshot_interval must be >= 1, got {self.snapshot_interval}")
 
 
@@ -340,7 +340,9 @@ def _check_finite(arrays: dict, what: str, trace) -> None:
 class TrainedBundle:
     """Everything a deployment needs: latent map, labelers, net, and the trace.
 
-    The parts a method does not use stay at their defaults.
+    The parts a method does not use stay at their defaults. Format 2 keeps
+    no labeler subsamples and no copy of ``ensemble.config``; format 1's
+    extra keys are never read.
     """
 
     method: str
@@ -348,13 +350,12 @@ class TrainedBundle:
     ensemble: PseudoLabelEnsemble | None = None
     net: ExplorNet | None = None
     net_config: NetConfig | None = None
-    pl_config: PseudoLabelConfig | None = None
     sigma: float = 0.0
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": 2,
             "method": self.method,
             "latent_map": {
                 "mean": self.latent_map.mean.tolist(),
@@ -364,14 +365,13 @@ class TrainedBundle:
             "ensemble": None if self.ensemble is None else self.ensemble.to_dict(),
             "net": None if self.net is None else self.net.to_dict(),
             "net_config": None if self.net_config is None else asdict(self.net_config),
-            "pl_config": None if self.pl_config is None else asdict(self.pl_config),
             "sigma": self.sigma,
             "trace": [[float(a), float(b), float(c)] for a, b, c in self.trace],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedBundle":
-        if doc.get("format_version") != 1:
+        if doc.get("format_version") not in (1, 2):
             raise ValueError(f"unsupported bundle format_version {doc.get('format_version')!r}")
         method = doc["method"]
         needs = {"explor": ("ensemble", "net"), "erm": ("net",), "pl_ens": ("ensemble",)}
@@ -391,7 +391,6 @@ class TrainedBundle:
             ensemble=None if doc["ensemble"] is None else PseudoLabelEnsemble.from_dict(doc["ensemble"]),
             net=None if doc["net"] is None else ExplorNet.from_dict(doc["net"]),
             net_config=None if doc["net_config"] is None else NetConfig(**doc["net_config"]),
-            pl_config=None if doc["pl_config"] is None else PseudoLabelConfig(**doc["pl_config"]),
             sigma=doc["sigma"],
             trace=[tuple(t) for t in doc["trace"]],
         )
@@ -466,7 +465,7 @@ def train(
     ``redraw_expansion_each_batch`` off, one expansion per training row is
     drawn up front and reused.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     lm, Z = _latent(ds, n_components)
     ens = fit_ensemble(Dataset(Z, ds.labels), pl_cfg)
@@ -491,7 +490,6 @@ def train(
         ensemble=ens,
         net=net,
         net_config=net_cfg,
-        pl_config=pl_cfg,
         sigma=sigma,
         trace=trace,
     )
@@ -533,7 +531,6 @@ def train_pl_ens(ds: Dataset, pl_cfg: PseudoLabelConfig, n_components: int | Non
         method="pl_ens",
         latent_map=lm,
         ensemble=ens,
-        pl_config=pl_cfg,
     )
 
 

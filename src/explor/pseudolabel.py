@@ -46,18 +46,20 @@ class PseudoLabelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
+        if not self.k >= 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_depth < 0:
+        if not self.max_depth >= 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_leaf < 1:
+        if not self.min_leaf >= 1:
             raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.trees_per_labeler < 1:
+        if not self.trees_per_labeler >= 1:
             raise ValueError(f"trees_per_labeler must be >= 1, got {self.trees_per_labeler}")
         if not (0.0 < self.instance_fraction <= 1.0):
             raise ValueError(f"instance_fraction must be in (0, 1], got {self.instance_fraction}")
         if not (0.0 < self.feature_fraction <= 1.0):
             raise ValueError(f"feature_fraction must be in (0, 1], got {self.feature_fraction}")
+        if not (0.0 <= self.decision_threshold <= 1.0):
+            raise ValueError(f"decision_threshold must be in [0, 1], got {self.decision_threshold}")
 
 
 class Tree:
@@ -180,56 +182,30 @@ def fit_tree(X, y, max_depth: int = 6, min_leaf: int = 2) -> Tree:
     return Tree(feature, threshold, left, right, value)
 
 
-class PseudoLabeler:
-    """One ensemble member: its subsample bookkeeping plus its tree(s)."""
-
-    def __init__(self, trees, instance_indices, feature_indices, decision_threshold=0.5):
-        self.trees = list(trees)
-        self.instance_indices = np.asarray(instance_indices, dtype=np.int64)
-        self.feature_indices = np.asarray(feature_indices, dtype=np.int64)
-        self.decision_threshold = float(decision_threshold)
-
-    def to_dict(self) -> dict:
-        return {
-            "trees": [t.to_dict() for t in self.trees],
-            "instance_indices": self.instance_indices.tolist(),
-            "feature_indices": self.feature_indices.tolist(),
-            "decision_threshold": self.decision_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PseudoLabeler":
-        return cls(
-            [Tree.from_dict(t) for t in doc["trees"]],
-            doc["instance_indices"],
-            doc["feature_indices"],
-            doc["decision_threshold"],
-        )
-
-
 class PseudoLabelEnsemble:
-    """K diverse labelers plus packed node tables for batched prediction."""
+    """K labelers as one flat list of trees in labeler order, plus packed node tables.
 
-    def __init__(self, labelers, config: PseudoLabelConfig):
-        if not labelers:
-            raise ValueError("ensemble needs at least one labeler")
-        t = len(labelers[0].trees)
-        if any(len(lab.trees) != t for lab in labelers):
-            raise ValueError("all labelers must hold the same number of trees")
-        self.labelers = list(labelers)
+    Labeler j's trees are ``trees[j*T:(j+1)*T]`` with T =
+    ``config.trees_per_labeler``; every tree votes with ``config``'s
+    decision threshold.
+    """
+
+    def __init__(self, trees, config: PseudoLabelConfig):
+        self.trees = list(trees)
         self.config = config
+        if len(self.trees) != config.k * config.trees_per_labeler:
+            raise ValueError(f"ensemble needs {config.k} labelers of {config.trees_per_labeler} trees, got {len(self.trees)} trees")
         self._pack()
 
     def _pack(self):
-        trees = [t for lab in self.labelers for t in lab.trees]
-        nt = len(trees)
-        sizes = np.array([t.n_nodes for t in trees])
+        nt = len(self.trees)
+        sizes = np.array([t.n_nodes for t in self.trees])
         start = np.cumsum(sizes) - sizes
-        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
-        threshold = np.concatenate([t.threshold for t in trees])
+        feature = np.concatenate([t.feature for t in self.trees]).astype(np.intp)
+        threshold = np.concatenate([t.threshold for t in self.trees])
         shift = np.repeat(start, sizes)
-        left = np.concatenate([t.left for t in trees]) + shift
-        right = np.concatenate([t.right for t in trees]) + shift
+        left = np.concatenate([t.left for t in self.trees]) + shift
+        right = np.concatenate([t.right for t in self.trees]) + shift
         # One level of the complete trees at a time: node[t, i] is the real
         # node that heap slot i of tree t stands for; a leaf stands for all
         # of its pad descendants.
@@ -251,13 +227,12 @@ class PseudoLabelEnsemble:
         # (nt, 2^D - 1) tables; the zero-width first block keeps D = 0 (root-only trees) valid.
         self._feat = np.concatenate([np.zeros((nt, 0), np.intp), *feats], axis=1)
         self._thr = np.concatenate([np.zeros((nt, 0)), *thrs], axis=1)
-        cut = np.repeat([lab.decision_threshold for lab in self.labelers], len(self.labelers[0].trees))
-        self._leaf_vote = np.concatenate([t.value for t in trees])[node] >= cut[:, None]
+        self._leaf_vote = np.concatenate([t.value for t in self.trees])[node] >= self.config.decision_threshold
         self._n_features = int(feature.max()) + 1
 
     @property
     def k(self) -> int:
-        return len(self.labelers)
+        return self.config.k
 
     def predict_matrix(self, X) -> np.ndarray:
         """(N, K) hard pseudo-labels for every labeler at once."""
@@ -287,14 +262,24 @@ class PseudoLabelEnsemble:
         return self.predict_matrix(X).mean(axis=1)
 
     def to_dict(self) -> dict:
-        return {"labelers": [lab.to_dict() for lab in self.labelers], "config": asdict(self.config)}
+        t, threshold = self.config.trees_per_labeler, float(self.config.decision_threshold)
+        labelers = [self.trees[j * t : (j + 1) * t] for j in range(self.k)]
+        return {
+            "labelers": [{"trees": [tree.to_dict() for tree in lab], "decision_threshold": threshold} for lab in labelers],
+            "config": asdict(self.config),
+        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PseudoLabelEnsemble":
-        return cls(
-            [PseudoLabeler.from_dict(d) for d in doc["labelers"]],
-            PseudoLabelConfig(**doc["config"]),
-        )
+        """Rebuild from ``to_dict`` output; each labeler must agree with the config, and there must be k of them."""
+        config = PseudoLabelConfig(**doc["config"])
+        labelers = doc["labelers"]
+        for j, lab in enumerate(labelers):
+            if len(lab["trees"]) != config.trees_per_labeler:
+                raise ValueError(f"labeler {j} has {len(lab['trees'])} trees, config says {config.trees_per_labeler}")
+            if lab["decision_threshold"] != config.decision_threshold:
+                raise ValueError(f"labeler {j} has decision_threshold {lab['decision_threshold']}, config says {config.decision_threshold}")
+        return cls([Tree.from_dict(t) for lab in labelers for t in lab["trees"]], config)
 
 
 def fit_ensemble(ds: Dataset, cfg: PseudoLabelConfig) -> PseudoLabelEnsemble:
@@ -306,13 +291,12 @@ def fit_ensemble(ds: Dataset, cfg: PseudoLabelConfig) -> PseudoLabelEnsemble:
     y = ds.labels
     if np.unique(y).size < 2:
         raise ValueError("fit_ensemble needs both classes in the training set")
-    labelers = []
+    trees = []
     for k in range(cfg.k):
         seed_k = derive_seed(cfg.seed, "labeler", k)
-        sub, rows, cols = subsample(
+        sub, _, cols = subsample(
             ds, SubsampleSpec(cfg.instance_fraction, cfg.feature_fraction, seed_k)
         )
-        trees = []
         for t in range(cfg.trees_per_labeler):
             if cfg.trees_per_labeler == 1:
                 tx, ty = sub.features, sub.labels
@@ -327,5 +311,4 @@ def fit_ensemble(ds: Dataset, cfg: PseudoLabelConfig) -> PseudoLabelEnsemble:
             internal = tree.feature >= 0
             tree.feature[internal] = cols[tree.feature[internal]]
             trees.append(tree)
-        labelers.append(PseudoLabeler(trees, rows, cols, cfg.decision_threshold))
-    return PseudoLabelEnsemble(labelers, cfg)
+    return PseudoLabelEnsemble(trees, cfg)

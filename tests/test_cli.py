@@ -83,6 +83,33 @@ class TestConfig:
         cfg.write_text(json.dumps({"mystery": 1}))
         assert main(["synth", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("override", [
+        {"net": {"iterations": 1.5}},
+        {"net": {"iterations": "5"}},
+        {"pseudo": {"k": "4"}},
+        {"latent": {"sigma": "x"}},
+        {"pseudo": {"k": True}},
+        {"latent": {"sigma": False}},
+        {"net": {"redraw_expansion_each_batch": 1}},
+        {"net": {"hidden": [8.5]}},
+        {"net": {"hidden": 8}},
+        {"metrics": {"taus": ["0.1"]}},
+        {"net": {"loss_mode": 3}},
+    ])
+    def test_wrongly_typed_value_exits_one(self, workdir, capsys, override):
+        tmp_path, _ = workdir
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(tiny_cfg(**override)))
+        capsys.readouterr()
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config key" in err and "Traceback" not in err
+        assert not (tmp_path / "bundle.json").exists()
+
+    def test_int_for_float_and_open_none_defaults_accepted(self):
+        cfg = _merge_config(DEFAULTS, {"latent": {"sigma": 1, "components": 3}, "group_column": "g", "net": {"learning_rate": 1}})
+        assert cfg["latent"] == {"sigma": 1, "components": 3} and cfg["group_column"] == "g"
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # --train is required
@@ -165,6 +192,35 @@ class TestFlagSurface:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["synth", f"--{key}", "0.5"])
         assert exc.value.code == 1
+
+
+class TestNonFiniteConfig:
+    """NaN must fail every config check, so it is a config error (exit 1), not a fit that fails or succeeds."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "nan"],
+        ["--sigma", "nan"],
+        ["--learning-rate", "nan"],
+        ["--decision-threshold", "nan", "--method", "pl_ens"],
+        ["--instance-fraction", "nan", "--method", "pl_ens"],
+    ])
+    def test_nan_flag_exits_one(self, workdir, capsys, argv):
+        tmp_path, cfg_path = workdir
+        capsys.readouterr()
+        code = main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg_path), "--output-dir", str(tmp_path), *argv])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert not (tmp_path / "bundle.json").exists()
+
+    @pytest.mark.parametrize("method,constant", [("explor", "NaN"), ("erm", "NaN"), ("pl_ens", "Infinity"), ("erm", "-Infinity")])
+    def test_non_finite_in_config_file_exits_one(self, workdir, capsys, method, constant):
+        tmp_path, _ = workdir
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"net": {"lambda_expand": %s}}' % constant)
+        capsys.readouterr()
+        code = main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg), "--output-dir", str(tmp_path), "--method", method])
+        assert code == 1 and f"non-finite number {constant}" in capsys.readouterr().err
+        assert not (tmp_path / "bundle.json").exists()
 
 
 class TestSynth:
@@ -327,7 +383,7 @@ class TestMalformedBundle:
         assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
         return tmp_path, base, json.loads((tmp_path / "bundle.json").read_text())
 
-    @pytest.mark.parametrize("breakage", ["no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net", "tree_child_out_of_range"])
+    @pytest.mark.parametrize("breakage", ["no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net", "tree_child_out_of_range", "labeler_threshold_differs"])
     def test_predict_exits_one_without_traceback(self, workdir, capsys, breakage):
         tmp_path, base, doc = self.fitted(workdir)
         if breakage == "no_latent_map":
@@ -342,6 +398,8 @@ class TestMalformedBundle:
             trees = [t for lab in doc["ensemble"]["labelers"] for t in lab["trees"]]
             tree = next(t for t in trees if t["feature"][0] >= 0)
             tree["left"][0] = -1
+        elif breakage == "labeler_threshold_differs":
+            doc["ensemble"]["labelers"][0]["decision_threshold"] = 0.9
         else:
             doc["net"] = None
         (tmp_path / "broken.json").write_text(json.dumps(doc))

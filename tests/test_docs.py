@@ -2,7 +2,7 @@
 
 The README lists every config key with its default in a ``jsonc`` block;
 with the ``//`` comments stripped it must equal ``cli.DEFAULTS``. Every
-script in ``demos/`` must run to completion.
+script in ``demos/`` must run to completion and remove its temp files.
 """
 
 import json
@@ -41,3 +41,5 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # TMPDIR points here, so a demo that leaves its temp directory behind shows up.
+    assert not list(tmp_path.glob("explor_demo_*"))

@@ -12,6 +12,12 @@ artifact byte-identical. These tests pin the sha256 of
   snapshot averaging on (a snapshot every 20 iterations) and with no
   snapshot taken under a loss mode that ERM ignores.
 
+The bundle digests are of bundle format 2. They were derived from the
+format-1 bundles the code wrote before the change of format: each bundle
+loaded, its ``pl_config`` and per-labeler ``instance_indices`` and
+``feature_indices`` deleted, ``format_version`` set to 2 and the document
+re-dumped as ``save_bundle`` dumps it. So format 2 moved no other byte.
+
 Network weights depend on the BLAS kernels, so the reference digests are
 keyed by numpy version and BLAS build. On a build with no reference the
 tests skip and print the key and the digests they computed, so a reference
@@ -39,21 +45,21 @@ def build_key() -> str:
 REFERENCE = {
     "numpy 2.4.6 / scipy-openblas 0.3.31.188.0": {
         "criterion_08": {
-            "bundle.json": "8f2ce2e5b5f8a8b5f14d53cbdae5ad29b2f1755abf57b8748547a11f5a5da43b",
+            "bundle.json": "5ec3a10ee549dee3d750442991e15ddf67c3a22e8cb0b1043afee83538dd7004",
             "predictions.csv": "e1e1b8e601f29a59f93d1345aa51b216fbb04f1ef652dba1ddc5fec40df03acc",
             "report.json": "f6007f45866d2698aec89326a87e89e31a9cdbdfcb0bf699d6210397b5b0586d",
         },
         "bench_train": {
-            "full": "ae752bab4e8a8b838823fec6bcdec0ffabb0d51916d1e358c112f133d91994dd",
-            "match_only": "3d9212764b383f2e862dfc14dd147955cdea366a2e9babbada971a5f4c88e974",
-            "mean_only": "bd82694c5f24b8f310869e5367e34d06010b23ba38f66fac9d89086f4ad32531",
-            "single_head": "9cf1e19e32a3d232b566a0983b8d2c1f71abda222a6270d9ca04561048470bcf",
+            "full": "ea6fcb1b2bcfb47a53613c2497d905f3112f823b7e7ec45f7f9ce7973ef71d66",
+            "match_only": "baee889f7b9dcc3c5a8859f95f8e510bbf59658145f604dc5aee2826e4cc2db7",
+            "mean_only": "cb3b0aa09dff10cac9bc792346fe9a7b185510b8c22bc97006730a3585f2388c",
+            "single_head": "69025d3fff368435f40ea9d3217e335e509e434ae3281cb26ff06c508dd1ed81",
         },
         "bench_other": {
-            "frozen_expansion": "e2542735202ca048820c41b1694188cb1b3ecc1057e2bf1e7c827b34bee58c9d",
-            "erm_snapshots": "309443ffa2f02365f02a94d2cf152b62630df461fe01bf7cd63369c329a92b12",
-            "erm_no_snapshot": "03d1facc23a8e0ece1810fb5e141b4a4821c1d4172b91e378f131235d0fd5173",
-            "pl_ens": "64916c09b014b4ead0ba0d79738c05f6aef0d1bc9ebcaf551eb93072d28e2a61",
+            "frozen_expansion": "94b44808a2ac2f3436df60af7095a5aea856dd19e38a3f31d38750ead376750b",
+            "erm_snapshots": "52a6d38deaa4c8bc52af9946d62ba89d6d5e7db2187b882ad7a762dae41e8d0e",
+            "erm_no_snapshot": "aa7d9eb8d5aa8347e3211cae7512bfa42cebf2beadc1358cba14455460b35107",
+            "pl_ens": "978f51c83dc5d2571b415976dce1503030bcf7618917ca4e63e838b9b34dfe78",
         },
     },
 }

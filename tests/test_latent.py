@@ -80,6 +80,15 @@ class TestFitPca:
         with pytest.raises(ValueError):
             decode(lm, np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_rejects_non_finite_naming_first_cell(self, bad):
+        lm = fit_pca(np.random.default_rng(0).standard_normal((6, 4)), 2)
+        X = np.zeros((5, 4))
+        X[2, 1] = bad
+        X[4, 0] = np.nan
+        with pytest.raises(ValueError, match="row 2, column 1"):
+            encode(lm, X)
+
 
 class TestExpansion:
     def test_never_shrinks_and_keeps_rays(self):

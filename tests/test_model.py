@@ -402,6 +402,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="sigma"):
             train(small_ds(), quick_net(its=1), quick_pl(), sigma=0.0)
 
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            train(small_ds(), quick_net(its=1), quick_pl(), sigma=float("nan"))
+
 
 class TestErm:
     def test_snapshot_average_is_mean_of_snapshots(self):
@@ -522,6 +526,46 @@ class TestBundleIO:
         with pytest.raises(ValueError, match="no ensemble"):
             TrainedBundle.from_dict(doc)
 
+    @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
+    def test_format_1_loads_and_scores_as_format_2(self, method):
+        """A format-1 document adds per-labeler subsample indices and a second pseudo-label config; neither is read."""
+        ds = small_ds(seed=21)
+        if method == "explor":
+            b = train(ds, quick_net(its=8), quick_pl(), n_components=4)
+        elif method == "erm":
+            b = train_erm(ds, quick_net(its=8), heads=3, n_components=4)
+        else:
+            b = train_pl_ens(ds, quick_pl(), n_components=4)
+        v2 = json.loads(json.dumps(b.to_dict()))
+        assert v2["format_version"] == 2 and "pl_config" not in v2
+        v1 = json.loads(json.dumps(v2))
+        v1["format_version"] = 1
+        v1["pl_config"] = None if v2["ensemble"] is None else v2["ensemble"]["config"]
+        for lab in [] if v1["ensemble"] is None else v1["ensemble"]["labelers"]:
+            assert set(lab) == {"trees", "decision_threshold"}
+            lab["instance_indices"] = list(range(0, ds.n, 2))
+            lab["feature_indices"] = [0, 2]
+        old = TrainedBundle.from_dict(v1)
+        X = np.random.default_rng(22).standard_normal((25, ds.d))
+        assert np.array_equal(predict(old, X), predict(b, X))
+        # Re-saving a format-1 bundle writes exactly the format-2 document.
+        assert json.dumps(old.to_dict(), sort_keys=True) == json.dumps(v2, sort_keys=True)
+
+    @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predict_rejects_non_finite_features(self, method, bad):
+        ds = small_ds(seed=24)
+        if method == "explor":
+            b = train(ds, quick_net(its=2), quick_pl(), n_components=4)
+        elif method == "erm":
+            b = train_erm(ds, quick_net(its=2), heads=2, n_components=4)
+        else:
+            b = train_pl_ens(ds, quick_pl(), n_components=4)
+        X = np.zeros((4, ds.d))
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="row 3, column 1"):
+            predict(b, X)
+
     def test_from_dict_rejects_unknown_version(self):
         ds = small_ds(seed=16)
         doc = train_pl_ens(ds, quick_pl(), n_components=4).to_dict()
@@ -540,6 +584,11 @@ class TestNetConfigValidation:
         {"lambda_expand": -0.1},
         {"loss_mode": "other"},
         {"snapshot_interval": 0},
+        {"lambda_expand": float("nan")},
+        {"learning_rate": float("nan")},
+        {"batch_size": float("nan")},
+        {"iterations": float("nan")},
+        {"snapshot_interval": float("nan")},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):

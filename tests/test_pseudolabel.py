@@ -13,15 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from explor.data import Dataset
+from explor.data import Dataset, SubsampleSpec, subsample
 from explor.pseudolabel import (
     PseudoLabelConfig,
     PseudoLabelEnsemble,
-    PseudoLabeler,
     Tree,
     fit_ensemble,
     fit_tree,
 )
+from explor.seeding import derive_seed
 
 
 # ---------------------------------------------------------------- oracles
@@ -93,12 +93,18 @@ def oracle_fractions(tree, X):
     return np.array([oracle_fraction(tree, x) for x in X])
 
 
+def labeler_trees(ens, j):
+    """Labeler j's trees: its block of the flat, labeler-ordered tree list."""
+    t = ens.config.trees_per_labeler
+    return ens.trees[j * t : (j + 1) * t]
+
+
 def oracle_matrix(ens, X):
     """(N, K) hard labels: each tree votes on its leaf fraction, each labeler takes the majority."""
     out = np.zeros((len(X), ens.k), dtype=np.int64)
-    for j, lab in enumerate(ens.labelers):
+    for j in range(ens.k):
         for i, x in enumerate(X):
-            votes = [oracle_fraction(t, x) >= lab.decision_threshold for t in lab.trees]
+            votes = [oracle_fraction(t, x) >= ens.config.decision_threshold for t in labeler_trees(ens, j)]
             out[i, j] = sum(votes) / len(votes) >= 0.5
     return out
 
@@ -207,6 +213,23 @@ class TestFitTree:
 
 # --------------------------------------------------------------- ensemble
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("kw", [
+    {"k": 0}, {"k": NAN},
+    {"max_depth": -1}, {"max_depth": NAN},
+    {"min_leaf": 0}, {"min_leaf": NAN},
+    {"trees_per_labeler": 0}, {"trees_per_labeler": NAN},
+    {"instance_fraction": 0.0}, {"instance_fraction": NAN},
+    {"feature_fraction": 1.5}, {"feature_fraction": NAN},
+    {"decision_threshold": -0.1}, {"decision_threshold": 1.5}, {"decision_threshold": NAN},
+])
+def test_config_rejects(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        PseudoLabelConfig(**kw)
+
+
 def demo_ds(n=200, d=8, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
@@ -214,28 +237,50 @@ def demo_ds(n=200, d=8, seed=0):
     return Dataset(X, y)
 
 
+def labeler_subsample(ds, cfg, j):
+    """The (rows, columns) labeler j is fit on, drawn from its own seed as ``fit_ensemble`` draws it."""
+    _, rows, cols = subsample(ds, SubsampleSpec(cfg.instance_fraction, cfg.feature_fraction, derive_seed(cfg.seed, "labeler", j)))
+    return rows, cols
+
+
 class TestEnsemble:
     def test_shapes_and_subset_sizes(self):
         ds = demo_ds()
         cfg = PseudoLabelConfig(k=8, seed=5)
         ens = fit_ensemble(ds, cfg)
-        assert ens.k == 8
-        for lab in ens.labelers:
-            assert lab.instance_indices.size == math.ceil(0.632 * ds.n)
-            assert lab.feature_indices.size == math.ceil(0.5 * ds.d)
-            for tree in lab.trees:
+        assert ens.k == 8 and len(ens.trees) == 8
+        for j in range(ens.k):
+            rows, cols = labeler_subsample(ds, cfg, j)
+            assert rows.size == math.ceil(0.632 * ds.n)
+            assert cols.size == math.ceil(0.5 * ds.d)
+            for tree in labeler_trees(ens, j):
                 internal = tree.feature[tree.feature >= 0]
-                assert set(internal.tolist()) <= set(lab.feature_indices.tolist())
+                assert set(internal.tolist()) <= set(cols.tolist())
 
     def test_labelers_differ(self):
         """No two labelers see the same rows and columns at once."""
         ds = demo_ds(n=300)
-        ens = fit_ensemble(ds, PseudoLabelConfig(k=64, seed=1))
+        cfg = PseudoLabelConfig(k=64, seed=1)
         seen = set()
-        for lab in ens.labelers:
-            key = (tuple(lab.instance_indices), tuple(lab.feature_indices))
+        for j in range(cfg.k):
+            rows, cols = labeler_subsample(ds, cfg, j)
+            key = (tuple(rows), tuple(cols))
             assert key not in seen
             seen.add(key)
+
+    def test_labeler_is_tree_fit_on_its_subsample(self):
+        """A single-tree labeler is ``fit_tree`` on its subsample, split features mapped to original columns."""
+        ds = demo_ds()
+        cfg = PseudoLabelConfig(k=3, max_depth=4, seed=6)
+        ens = fit_ensemble(ds, cfg)
+        for j in range(cfg.k):
+            rows, cols = labeler_subsample(ds, cfg, j)
+            want = fit_tree(ds.features[rows][:, cols], ds.labels[rows], cfg.max_depth, cfg.min_leaf)
+            (got,) = labeler_trees(ens, j)
+            internal = want.feature >= 0
+            assert np.array_equal(got.feature[internal], cols[want.feature[internal]])
+            for name in ("threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_prefix_stability(self):
         """Labeler k depends only on (seed, k), not on K."""
@@ -278,8 +323,7 @@ class TestEnsemble:
         ds = demo_ds(n=250)
         ens = fit_ensemble(ds, PseudoLabelConfig(k=5, trees_per_labeler=7, seed=2))
         X = np.random.default_rng(6).standard_normal((40, ds.d))
-        lab = ens.labelers[3]
-        votes = np.stack([oracle_fractions(t, X) >= lab.decision_threshold for t in lab.trees])
+        votes = np.stack([oracle_fractions(t, X) >= ens.config.decision_threshold for t in labeler_trees(ens, 3)])
         manual = (votes.mean(axis=0) >= 0.5).astype(int)
         assert np.array_equal(ens.predict_matrix(X)[:, 3], manual)
 
@@ -298,24 +342,51 @@ class TestEnsemble:
         X = np.random.default_rng(14).standard_normal((80, ds.d))
         assert strict.predict_matrix(X).sum() <= lax.predict_matrix(X).sum()
 
+    @pytest.mark.parametrize("k,trees_per_labeler,n_trees", [(2, 1, 1), (2, 1, 3), (2, 3, 5), (1, 2, 1)])
+    def test_tree_count_must_be_k_times_trees_per_labeler(self, k, trees_per_labeler, n_trees):
+        with pytest.raises(ValueError, match="trees"):
+            PseudoLabelEnsemble([STUMP] * n_trees, PseudoLabelConfig(k=k, trees_per_labeler=trees_per_labeler))
+
+    @pytest.mark.parametrize("breakage,match", [
+        ("labeler_dropped", "labelers"),
+        ("tree_dropped", "trees"),
+        ("tree_moved", "trees"),
+        ("threshold_differs", "decision_threshold"),
+    ])
+    def test_from_dict_rejects_labelers_that_disagree_with_config(self, breakage, match):
+        """Each labeler must hold trees_per_labeler trees at the config's threshold, and there must be k of them."""
+        ens = fit_ensemble(demo_ds(), PseudoLabelConfig(k=4, trees_per_labeler=2, seed=15))
+        doc = json.loads(json.dumps(ens.to_dict()))
+        labs = doc["labelers"]
+        if breakage == "labeler_dropped":
+            labs.pop()
+        elif breakage == "tree_dropped":
+            labs[1]["trees"].pop()
+        elif breakage == "tree_moved":
+            # Moving a tree keeps the total at k * trees_per_labeler.
+            labs[0]["trees"].append(labs[3]["trees"].pop())
+        else:
+            labs[2]["decision_threshold"] = 0.25
+        with pytest.raises(ValueError, match=match):
+            PseudoLabelEnsemble.from_dict(doc)
+
 
 # ---------------------------------------------------- packed walk vs oracle
 
 def hand_ensemble(*labelers, threshold=0.5):
     """Ensemble of hand-built labelers, each a list of Trees."""
-    labs = [PseudoLabeler(trees, [], [], threshold) for trees in labelers]
-    return PseudoLabelEnsemble(labs, PseudoLabelConfig(k=len(labs), trees_per_labeler=len(labelers[0])))
+    cfg = PseudoLabelConfig(k=len(labelers), trees_per_labeler=len(labelers[0]), decision_threshold=threshold)
+    return PseudoLabelEnsemble([t for trees in labelers for t in trees], cfg)
 
 
 def tie_and_nan_rows(ens, d, n, seed):
     """Rows whose values sit exactly on split thresholds, with some NaNs."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    for lab in ens.labelers:
-        for tree in lab.trees:
-            for f, t in zip(tree.feature, tree.threshold):
-                if f >= 0:
-                    X[rng.random(n) < 0.3, f] = t
+    for tree in ens.trees:
+        for f, t in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                X[rng.random(n) < 0.3, f] = t
     X[rng.random((n, d)) < 0.1] = np.nan
     return X
 
@@ -374,10 +445,10 @@ class TestPackedWalk:
     def test_tree_deeper_than_max_depth_rejected(self):
         """The complete layout is bounded by max_depth; a cyclic tree from a bad bundle is caught too."""
         with pytest.raises(ValueError, match="deeper"):
-            PseudoLabelEnsemble([PseudoLabeler([MIXED], [], [], 0.5)], PseudoLabelConfig(k=1, max_depth=2))
+            PseudoLabelEnsemble([MIXED], PseudoLabelConfig(k=1, max_depth=2))
         cyclic = Tree([0, -1], [0.0, 0.0], [0, -1], [1, -1], [0.5, 0.5])
         with pytest.raises(ValueError, match="deeper"):
-            PseudoLabelEnsemble([PseudoLabeler([cyclic], [], [], 0.5)], PseudoLabelConfig(k=1))
+            PseudoLabelEnsemble([cyclic], PseudoLabelConfig(k=1))
 
     @pytest.mark.parametrize("breakage", ["left_negative", "right_past_end", "short_value", "feature_below_leaf", "value_above_one", "value_nan", "empty"])
     def test_malformed_tree_rejected(self, breakage):
