@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as me
-from .data import Dataset, DatasetError, SubsampleSpec, load_csv, load_features, make_synthetic_radial, save_csv, subsample
+from .data import Dataset, DatasetError, SubsampleSpec, _format_float, load_csv, load_features, make_synthetic_radial, save_csv, subsample
 from .latent import encode, fit_pca
 from .model import (
     LOSS_MODES,
@@ -71,10 +71,12 @@ DEFAULTS = {
 }
 
 
+# For each key whose default is null, a value of the kind it may take instead.
+_NULL_KINDS = {"group_column": "", "latent.components": 0}
+
+
 def _same_kind(default, val) -> bool:
-    """Whether ``val`` may replace ``default``: a float takes an int, a bool is never a number, None takes anything."""
-    if default is None:
-        return True
+    """Whether ``val`` may replace ``default``: a float takes an int, a bool is never a number."""
     if isinstance(default, list):
         return isinstance(val, list) and all(_same_kind(default[0], v) for v in val)
     if isinstance(val, bool) != isinstance(default, bool):
@@ -92,7 +94,9 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
             out[key] = _merge_config(base[key], val, where)
-        elif not _same_kind(base[key], val):
+        elif base[key] is None and not (val is None or _same_kind(_NULL_KINDS[where], val)):
+            raise ConfigError(f"config key {where!r} must be null or of type {type(_NULL_KINDS[where]).__name__}, got {val!r}")
+        elif base[key] is not None and not _same_kind(base[key], val):
             raise ConfigError(f"config key {where!r} must be of the same type as its default {base[key]!r}, got {val!r}")
         else:
             out[key] = val
@@ -196,10 +200,6 @@ def _load_dataset(cfg: dict, path: str) -> Dataset:
     return load_csv(path, label_column=cfg["label_column"], group_column=cfg["group_column"])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -245,7 +245,7 @@ def cmd_fit(cfg: dict, train_path: str, out_dir: str) -> dict:
     _write_csv(
         paths["trace"],
         ["iteration", "match", "mean", "expand"],
-        ([str(i), _fmt(a), _fmt(b), _fmt(c)] for i, (a, b, c) in enumerate(bundle.trace)),
+        ([str(i), _format_float(a), _format_float(b), _format_float(c)] for i, (a, b, c) in enumerate(bundle.trace)),
     )
     last = bundle.trace[-1] if bundle.trace else (0.0, 0.0, 0.0)
     print(
@@ -273,9 +273,9 @@ def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, inclu
 
     def rows():
         for i in range(len(X)):
-            row = [str(i), _fmt(scores[i])]
+            row = [str(i), _format_float(scores[i])]
             if head_cols is not None:
-                row += [_fmt(v) for v in head_cols[i]]
+                row += [_format_float(v) for v in head_cols[i]]
             yield row
 
     paths = {"predictions": f"{out_dir}/predictions.csv"}
@@ -322,7 +322,7 @@ def cmd_eval(cfg: dict, predictions_path: str, data_path: str, out_dir: str, wri
         _write_csv(
             paths["pr_curve"],
             ["recall", "precision"],
-            ([_fmt(r), _fmt(p)] for r, p in zip(recall, precision)),
+            ([_format_float(r), _format_float(p)] for r, p in zip(recall, precision)),
         )
     shown = " ".join(f"auprc@{t:g}={report.auprc_at[float(t)]:.4f}" for t in cfg["metrics"]["taus"])
     print(f"{shown} auprc={report.auprc:.4f} auroc={report.auroc:.4f}")
@@ -400,7 +400,7 @@ def cmd_stability(cfg: dict, train_path: str, test_path: str, out_dir: str) -> d
         _write_csv(
             score_path,
             ["trial"] + [f"i{j}" for j in range(matrix.shape[1])],
-            ([str(t)] + [_fmt(v) for v in matrix[t]] for t in range(matrix.shape[0])),
+            ([str(t)] + [_format_float(v) for v in matrix[t]] for t in range(matrix.shape[0])),
         )
         print(f"{method}: mean variance {block['mean_variance']:.6f} over {result['trials']} trials")
     _write_json(paths["report"], doc)
@@ -492,7 +492,7 @@ def cmd_ablate(cfg: dict, train_path: str, test_path: str, axis: str, out_dir: s
             scores = predict(bundle, test_ds.features)
         scored = me.ScoredSet(scores, test_ds.labels)
         vals = [me.auprc_truncated(scored, t) for t in taus] + [me.auprc(scored), me.auroc(scored)]
-        rows.append([name] + [_fmt(v) for v in vals])
+        rows.append([name] + [_format_float(v) for v in vals])
         print(f"{name}: " + " ".join(f"{h}={v:.4f}" for h, v in zip(header[1:], vals)))
     paths = {"table": f"{out_dir}/ablation.csv"}
     _write_csv(paths["table"], header, rows)

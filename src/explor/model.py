@@ -371,8 +371,9 @@ class TrainedBundle:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedBundle":
-        if doc.get("format_version") not in (1, 2):
-            raise ValueError(f"unsupported bundle format_version {doc.get('format_version')!r}")
+        version = doc.get("format_version")
+        if type(version) is not int or version not in (1, 2):
+            raise ValueError(f"unsupported bundle format_version {version!r}")
         method = doc["method"]
         needs = {"explor": ("ensemble", "net"), "erm": ("net",), "pl_ens": ("ensemble",)}
         if method not in needs:

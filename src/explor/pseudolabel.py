@@ -2,10 +2,18 @@
 
 Each labeler sees its own without-replacement row and column subsample and
 fits a small CART tree (or a majority-vote forest of them) on it. Split
-quality is weighted Gini impurity; candidate thresholds are midpoints
-between consecutive distinct sorted values; ties are broken toward the
-lowest feature index, then the lowest threshold, so fitting is fully
-deterministic. Tree feature indices always refer to the original columns.
+quality is weighted Gini impurity. ``fit_tree`` stable-argsorts each column
+once per tree and hands every node its rows in each column's sorted order,
+divided at a split by one boolean row mask; restricted to a node, the
+presort is the node's own stable sort. A node scores every (feature, cut)
+candidate in one 2-D array, with +inf for cuts between equal values or
+leaving fewer than ``min_leaf`` rows on a side, and splits at the first
+minimum of that array flattened feature-major: ties go to the lowest
+feature index, then the lowest threshold, so fitting is fully
+deterministic. The threshold is the midpoint of the two values around the
+cut, or the lower value where the midpoint rounds onto the upper one (two
+adjacent doubles) or overflows. Tree feature indices always refer to the
+original columns.
 
 Prediction lays every tree of every labeler out as a complete binary tree
 of depth D, the depth of the deepest tree grown, in heap order: node i has
@@ -108,77 +116,63 @@ class Tree:
         return cls(doc["feature"], doc["threshold"], doc["left"], doc["right"], doc["value"])
 
 
-def _best_split(X, y, min_leaf):
-    """Lowest-weighted-Gini split of (X, y), or None if no candidate exists.
-
-    Scans features in ascending index order and thresholds in ascending
-    value order, accepting only strict improvements, which implements the
-    tie-break rule.
-    """
-    n = y.size
-    total_pos = int(y.sum())
-    best = None
-    best_gini = np.inf
-    for j in range(X.shape[1]):
-        v = X[:, j]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        cum_pos = np.cumsum(y[order])
-        cut = np.flatnonzero(sv[1:] > sv[:-1])
-        if cut.size == 0:
-            continue
-        n_left = cut + 1
-        n_right = n - n_left
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not ok.any():
-            continue
-        cut = cut[ok]
-        n_left = n_left[ok]
-        n_right = n_right[ok]
-        pos_left = cum_pos[cut]
-        pos_right = total_pos - pos_left
-        p_l = pos_left / n_left
-        p_r = pos_right / n_right
-        gini_l = 1.0 - p_l**2 - (1.0 - p_l) ** 2
-        gini_r = 1.0 - p_r**2 - (1.0 - p_r) ** 2
-        weighted = (n_left * gini_l + n_right * gini_r) / n
-        k = int(np.argmin(weighted))  # first minimum: lowest threshold wins
-        if weighted[k] < best_gini:
-            best_gini = float(weighted[k])
-            i = int(cut[k])
-            best = (j, (sv[i] + sv[i + 1]) / 2.0)
-    return best
-
-
 def fit_tree(X, y, max_depth: int = 6, min_leaf: int = 2) -> Tree:
     """Grow a CART tree on (X, y) with depth and leaf-size stopping rules."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    if n == 0:
+        raise ValueError("fit_tree needs at least one row")
+    Xt = np.ascontiguousarray(X.T)
+    col = (np.arange(d) * n)[:, None]  # Xt.take(order + col)[j] is Xt[j, order[j]]
+    in_left = np.zeros(n, dtype=bool)  # one row mask for every split, cleared after use
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def grow(rows, depth):
+    def grow(order, pos, depth):
+        # order[j] lists the node's rows sorted by column j; pos counts its positives.
         node = len(feature)
-        ys = y[rows]
-        frac = float(ys.mean())
+        m = order.shape[1]
+        frac = pos / m
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(frac)
-        if depth >= max_depth or rows.size < 2 * min_leaf or frac in (0.0, 1.0):
+        if depth >= max_depth or m < 2 * min_leaf or frac in (0.0, 1.0):
             return node
-        split = _best_split(X[rows], ys, min_leaf)
-        if split is None:
+        # Cut c puts a column's first c + 1 sorted rows left; only cuts lo..hi-1
+        # leave min_leaf rows on both sides, and column i of the arrays is cut lo + i.
+        lo, hi = min_leaf - 1, m - min_leaf
+        sv = Xt.take(order + col)
+        ok = sv[:, lo + 1 : hi + 1] > sv[:, lo:hi]
+        if not ok.any():
             return node
-        j, t = split
-        go_left = X[rows, j] <= t
+        n_left = np.arange(lo + 1, hi + 1)
+        n_right = m - n_left
+        pos_left = np.cumsum(y.take(order[:, :hi]), axis=1)[:, lo:]
+        p_l = pos_left / n_left
+        p_r = (pos - pos_left) / n_right
+        gini_l = 1.0 - p_l**2 - (1.0 - p_l) ** 2
+        gini_r = 1.0 - p_r**2 - (1.0 - p_r) ** 2
+        weighted = (n_left * gini_l + n_right * gini_r) / m
+        weighted[~ok] = np.inf
+        # The first minimum in feature-major order: lowest feature, then lowest threshold.
+        j, i = divmod(int(np.argmin(weighted)), hi - lo)
+        a, b = sv[j, lo + i : lo + i + 2].tolist()  # Python floats overflow to inf silently
+        t = (a + b) / 2.0
+        if not a <= t < b:  # the midpoint rounded onto b, or overflowed: cut at a
+            t = a
+        n_l, pos_l = lo + i + 1, int(pos_left[j, i])
+        in_left[order[j, :n_l]] = True
+        go_left = in_left.take(order)
+        in_left[order[j, :n_l]] = False
         feature[node] = j
         threshold[node] = t
-        left[node] = grow(rows[go_left], depth + 1)
-        right[node] = grow(rows[~go_left], depth + 1)
+        left[node] = grow(order[go_left].reshape(d, n_l), pos_l, depth + 1)
+        right[node] = grow(order[~go_left].reshape(d, m - n_l), pos - pos_l, depth + 1)
         return node
 
-    grow(np.arange(X.shape[0]), 0)
+    grow(np.argsort(Xt, axis=1, kind="stable"), int(y.sum()), 0)
     return Tree(feature, threshold, left, right, value)
 
 

@@ -95,6 +95,11 @@ class TestConfig:
         {"net": {"hidden": 8}},
         {"metrics": {"taus": ["0.1"]}},
         {"net": {"loss_mode": 3}},
+        {"latent": {"components": 2.7}},
+        {"latent": {"components": True}},
+        {"latent": {"components": "2"}},
+        {"group_column": 3},
+        {"group_column": False},
     ])
     def test_wrongly_typed_value_exits_one(self, workdir, capsys, override):
         tmp_path, _ = workdir
@@ -109,6 +114,10 @@ class TestConfig:
     def test_int_for_float_and_open_none_defaults_accepted(self):
         cfg = _merge_config(DEFAULTS, {"latent": {"sigma": 1, "components": 3}, "group_column": "g", "net": {"learning_rate": 1}})
         assert cfg["latent"] == {"sigma": 1, "components": 3} and cfg["group_column"] == "g"
+
+    def test_null_default_keys_take_null(self):
+        cfg = _merge_config(DEFAULTS, {"latent": {"components": None}, "group_column": None})
+        assert cfg["latent"]["components"] is None and cfg["group_column"] is None
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

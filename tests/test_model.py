@@ -573,6 +573,14 @@ class TestBundleIO:
         with pytest.raises(ValueError, match="version"):
             TrainedBundle.from_dict(doc)
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None])
+    def test_from_dict_rejects_version_that_is_not_an_int(self, version):
+        # A bool or a float compares equal to 1 or 2; only an int is a version.
+        doc = train_pl_ens(small_ds(seed=16), quick_pl(), n_components=4).to_dict()
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match="version"):
+            TrainedBundle.from_dict(doc)
+
 
 class TestNetConfigValidation:
     @pytest.mark.parametrize("kw", [

@@ -3,8 +3,10 @@
 The split oracle re-scans every candidate (feature, midpoint) pair with
 naive loops and checks that each internal node of a fitted tree attains the
 minimum weighted Gini. Tie-break rules are pinned by exact integer-valued
-constructions. The prediction oracle walks one tree for one row at a time,
-node by node, and the packed complete-tree walk must match it exactly.
+constructions. A reference CART, the per-node argsort and per-feature
+loop ``fit_tree`` used to run, must grow the same trees byte for byte. The
+prediction oracle walks one tree for one row at a time, node by node, and
+the packed complete-tree walk must match it exactly.
 """
 
 import json
@@ -12,8 +14,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from explor.data import Dataset, SubsampleSpec, subsample
+from explor.data import Dataset, SubsampleSpec, make_synthetic_radial, subsample
+from explor.latent import encode, fit_pca
 from explor.pseudolabel import (
     PseudoLabelConfig,
     PseudoLabelEnsemble,
@@ -109,6 +114,87 @@ def oracle_matrix(ens, X):
     return out
 
 
+def reference_best_split(X, y, min_leaf):
+    """The per-node split search ``fit_tree`` used to run: a stable argsort of
+    every feature at every node, features scanned in a Python loop, and only
+    strict improvements accepted. Kept as the byte-identity reference; the
+    one change is the midpoint fallback to the lower value."""
+    n = y.size
+    total_pos = int(y.sum())
+    best = None
+    best_gini = np.inf
+    for j in range(X.shape[1]):
+        v = X[:, j]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        cum_pos = np.cumsum(y[order])
+        cut = np.flatnonzero(sv[1:] > sv[:-1])
+        if cut.size == 0:
+            continue
+        n_left = cut + 1
+        n_right = n - n_left
+        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not ok.any():
+            continue
+        cut = cut[ok]
+        n_left = n_left[ok]
+        n_right = n_right[ok]
+        pos_left = cum_pos[cut]
+        pos_right = total_pos - pos_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        gini_l = 1.0 - p_l**2 - (1.0 - p_l) ** 2
+        gini_r = 1.0 - p_r**2 - (1.0 - p_r) ** 2
+        weighted = (n_left * gini_l + n_right * gini_r) / n
+        k = int(np.argmin(weighted))  # first minimum: lowest threshold wins
+        if weighted[k] < best_gini:
+            best_gini = float(weighted[k])
+            i = int(cut[k])
+            t = (sv[i] + sv[i + 1]) / 2.0
+            best = (j, t if sv[i] <= t < sv[i + 1] else sv[i])
+    return best
+
+
+def reference_fit_tree(X, y, max_depth=6, min_leaf=2):
+    """Recursive CART on the reference split search, numbering nodes in preorder."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(rows, depth):
+        node = len(feature)
+        ys = y[rows]
+        frac = float(ys.mean())
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(frac)
+        if depth >= max_depth or rows.size < 2 * min_leaf or frac in (0.0, 1.0):
+            return node
+        split = reference_best_split(X[rows], ys, min_leaf)
+        if split is None:
+            return node
+        j, t = split
+        go_left = X[rows, j] <= t
+        feature[node] = j
+        threshold[node] = t
+        left[node] = grow(rows[go_left], depth + 1)
+        right[node] = grow(rows[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return Tree(feature, threshold, left, right, value)
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def assert_same_bytes(got, want):
+    for name in TREE_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def tree_depth(tree, node=0):
     if tree.feature[node] < 0:
         return 0
@@ -200,6 +286,21 @@ class TestFitTree:
         assert np.array_equal(a.feature, b.feature)
         assert np.array_equal(a.threshold, b.threshold)
 
+    @pytest.mark.parametrize("a, b", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),  # (a + b) / 2 rounds to b
+        (1e308, 1.5e308),  # a + b overflows to +inf
+        (-1.5e308, -1e308),  # a + b overflows to -inf
+    ])
+    def test_midpoint_that_leaves_the_gap_cuts_at_the_lower_value(self, a, b):
+        tree = fit_tree([[a], [a], [b], [b]], [0, 0, 1, 1], min_leaf=1)
+        assert tree.feature[0] == 0 and tree.threshold[0] == a
+        assert tree.value.tolist() == [0.5, 0.0, 1.0]
+        assert oracle_fractions(tree, np.array([[a], [b]])).tolist() == [0.0, 1.0]
+
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
     def test_json_roundtrip(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((50, 3))
@@ -209,6 +310,45 @@ class TestFitTree:
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(back, name), getattr(tree, name))
         assert np.array_equal(oracle_fractions(back, X), oracle_fractions(tree, X))
+
+
+# Values that make ties, constant columns, midpoints that round onto the
+# upper value (adjacent doubles) and sums that overflow.
+_ONE_UP = np.nextafter(1.0, 2.0)
+TRICKY_VALUES = [-2.0, 0.0, 0.5, 1.0, _ONE_UP, np.nextafter(_ONE_UP, 2.0), 3.0, -1.5e308, -1e308, 1e308, 1.5e308]
+
+
+@st.composite
+def small_fits(draw):
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 4))
+    pools = [st.sampled_from(TRICKY_VALUES), st.floats(-4, 4, width=16), st.just(1.0)]
+    cols = [draw(st.lists(draw(st.sampled_from(pools)), min_size=n, max_size=n)) for _ in range(d)]
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(cols, dtype=np.float64).T.reshape(n, d), np.array(y), draw(st.integers(0, 10)), draw(st.integers(1, 3))
+
+
+class TestFitTreeMatchesReference:
+    """The presorted one-pass ``fit_tree`` grows the reference's trees byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the reference's numpy midpoint
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_fits())
+    def test_small_fits(self, case):
+        X, y, max_depth, min_leaf = case
+        assert_same_bytes(fit_tree(X, y, max_depth, min_leaf), reference_fit_tree(X, y, max_depth, min_leaf))
+
+    def test_every_labeler_of_a_benchmark_shaped_fit(self):
+        # The benchmark's training set (N=2000, d=8) encoded by its PCA map, k=64 labelers.
+        train, _ = make_synthetic_radial(2000, 10, 8, 7)
+        ds = Dataset(encode(fit_pca(train.features), train.features), train.labels)
+        cfg = PseudoLabelConfig(k=64, seed=7)
+        ens = fit_ensemble(ds, cfg)
+        for j in range(cfg.k):
+            rows, cols = labeler_subsample(ds, cfg, j)
+            want = reference_fit_tree(ds.features[rows][:, cols], ds.labels[rows], cfg.max_depth, cfg.min_leaf)
+            want.feature[want.feature >= 0] = cols[want.feature[want.feature >= 0]]
+            assert_same_bytes(ens.trees[j], want)
 
 
 # --------------------------------------------------------------- ensemble
