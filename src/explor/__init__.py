@@ -33,9 +33,8 @@ from .model import (
     loss_and_grads,
     loss_terms,
     predict,
-    predict_explor,
-    predict_heads,
     save_bundle,
+    score,
     train,
     train_erm,
     train_pl_ens,
@@ -90,10 +89,9 @@ __all__ = [
     "make_synthetic_radial",
     "pr_curve",
     "predict",
-    "predict_explor",
-    "predict_heads",
     "save_bundle",
     "save_csv",
+    "score",
     "subsample",
     "train",
     "train_erm",

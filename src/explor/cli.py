@@ -20,16 +20,17 @@ import numpy as np
 
 from . import metrics as me
 from .data import Dataset, DatasetError, SubsampleSpec, _format_float, load_csv, load_features, make_synthetic_radial, save_csv, subsample
-from .latent import encode, fit_pca
+from .latent import fit_pca
 from .model import (
     LOSS_MODES,
+    METHOD_PARTS,
     NetConfig,
     TrainedBundle,
     TrainingDivergence,
     load_bundle,
     predict,
-    predict_heads,
     save_bundle,
+    score,
     train,
     train_erm,
     train_pl_ens,
@@ -43,7 +44,7 @@ class ConfigError(ValueError):
     """Bad configuration file or flag combination."""
 
 
-METHODS = ("explor", "erm", "pl_ens")
+METHODS = tuple(METHOD_PARTS)
 ABLATE_AXES = ("loss_mode", "pl_family", "bottleneck")
 
 
@@ -259,24 +260,13 @@ def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, inclu
     bundle = load_bundle(bundle_path)
     # Scoring needs no labels: the label column is dropped if present.
     X = load_features(data_path, label_column=cfg["label_column"], group_column=cfg["group_column"])
-    scores = predict(bundle, X)
-    header = ["index", "score"]
-    head_cols = None
-    if include_heads:
-        if bundle.net is not None:
-            head_cols = predict_heads(bundle, X)
-        elif bundle.ensemble is not None:
-            head_cols = bundle.ensemble.predict_matrix(encode(bundle.latent_map, X)).astype(float)
-        else:
-            raise ConfigError("bundle has neither network heads nor labelers to export")
-        header += [f"head_{j}" for j in range(head_cols.shape[1])]
+    scores, columns = score(bundle, X)
+    width = columns.shape[1] if include_heads else 0
+    header = ["index", "score"] + [f"head_{j}" for j in range(width)]
 
     def rows():
         for i in range(len(X)):
-            row = [str(i), _format_float(scores[i])]
-            if head_cols is not None:
-                row += [_format_float(v) for v in head_cols[i]]
-            yield row
+            yield [str(i), _format_float(scores[i])] + [_format_float(v) for v in columns[i, :width]]
 
     paths = {"predictions": f"{out_dir}/predictions.csv"}
     _write_csv(paths["predictions"], header, rows())
@@ -333,21 +323,19 @@ def run_stability(
     train_ds: Dataset,
     test_ds: Dataset,
     cfg: dict,
-    methods=None,
-    trials: int | None = None,
-    fraction: float | None = None,
     subsample_seeds=None,
     train_seeds=None,
 ) -> dict:
     """Stability protocol: retrain on row subsamples, score a fixed test set.
 
-    Subsample draws are shared across methods trial by trial, so methods see
-    identical training rows. Explicit seed lists override the derived ones
-    (forcing identical seeds reproduces identical trainings exactly).
+    The methods, trial count and subsample fraction come from
+    ``cfg["stability"]``. Subsample draws are shared across methods trial by
+    trial, so methods see identical training rows. Explicit seed lists
+    override the derived ones (forcing identical seeds reproduces identical
+    trainings exactly).
     """
-    methods = list(cfg["stability"]["methods"] if methods is None else methods)
-    trials = cfg["stability"]["trials"] if trials is None else trials
-    fraction = cfg["stability"]["subsample_fraction"] if fraction is None else fraction
+    stab = cfg["stability"]
+    methods, trials, fraction = stab["methods"], stab["trials"], stab["subsample_fraction"]
     if trials < 2:
         raise ConfigError(f"stability needs at least 2 trials, got {trials}")
     seed = cfg["seed"]
@@ -445,13 +433,13 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
 
 
 def _ablate_variants(cfg: dict, axis: str):
-    """(variant name, config, score source) rows for one ablation axis."""
+    """(variant name, config) rows for one ablation axis."""
     if axis == "loss_mode":
         for mode in LOSS_MODES:
             c = copy.deepcopy(cfg)
             c["method"] = "explor"
             c["net"]["loss_mode"] = mode
-            yield mode, c, "bundle"
+            yield mode, c
     elif axis == "pl_family":
         for family in ("tree", "forest"):
             c = copy.deepcopy(cfg)
@@ -460,14 +448,14 @@ def _ablate_variants(cfg: dict, axis: str):
                 c["pseudo"]["trees_per_labeler"] = 1
             elif c["pseudo"]["trees_per_labeler"] < 2:
                 c["pseudo"]["trees_per_labeler"] = 10
-            yield f"explor_{family}", c, "bundle"
-            yield f"pl_ens_{family}", c, "ensemble"
+            yield f"explor_{family}", c
+            yield f"pl_ens_{family}", {**c, "method": "pl_ens"}
     elif axis == "bottleneck":
         for name, hidden in (("full", cfg["net"]["hidden"]), ("tiny", [32, 32])):
             c = copy.deepcopy(cfg)
             c["method"] = "explor"
             c["net"]["hidden"] = list(hidden)
-            yield name, c, "bundle"
+            yield name, c
     else:
         raise ConfigError(f"axis must be one of {ABLATE_AXES}, got {axis!r}")
 
@@ -478,18 +466,8 @@ def cmd_ablate(cfg: dict, train_path: str, test_path: str, axis: str, out_dir: s
     taus = cfg["metrics"]["taus"]
     header = ["variant"] + [f"auprc@{t:g}" for t in taus] + ["auprc", "auroc"]
     rows = []
-    cache = {}
-    for name, vcfg, source in _ablate_variants(cfg, axis):
-        key = json.dumps(
-            {"pseudo": vcfg["pseudo"], "net": vcfg["net"], "latent": vcfg["latent"]}, sort_keys=True
-        )
-        if key not in cache:
-            cache[key] = _train_bundle(vcfg, train_ds)
-        bundle = cache[key]
-        if source == "ensemble":
-            scores = bundle.ensemble.ensemble_mean(encode(bundle.latent_map, test_ds.features))
-        else:
-            scores = predict(bundle, test_ds.features)
+    for name, vcfg in _ablate_variants(cfg, axis):
+        scores = predict(_train_bundle(vcfg, train_ds), test_ds.features)
         scored = me.ScoredSet(scores, test_ds.labels)
         vals = [me.auprc_truncated(scored, t) for t in taus] + [me.auprc(scored), me.auroc(scored)]
         rows.append([name] + [_format_float(v) for v in vals])

@@ -31,6 +31,14 @@ class LatentMap:
     components: np.ndarray
     explained_variance: np.ndarray
 
+    def __post_init__(self):
+        s, d = np.shape(self.components) if np.ndim(self.components) == 2 else (0, 0)
+        arrays = (self.mean, self.components, self.explained_variance)
+        if min(s, d) < 1 or np.shape(self.mean) != (d,) or np.shape(self.explained_variance) != (s,):
+            raise ValueError(f"latent map needs mean (d,), components (s, d) and explained_variance (s,) with s, d >= 1, got shapes {[np.shape(a) for a in arrays]}")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError("latent map has non-finite values")
+
     @property
     def d(self) -> int:
         return self.components.shape[1]

@@ -38,6 +38,9 @@ from .seeding import derive_seed, generator
 
 LOSS_MODES = ("full", "match_only", "mean_only", "single_head")
 
+# The parts each method's bundle must carry; ``score`` averages whichever are present.
+METHOD_PARTS = {"explor": ("ensemble", "net"), "erm": ("net",), "pl_ens": ("ensemble",)}
+
 _PROB_EPS = 1e-12  # clamp for log() in the probability-space loss
 
 
@@ -375,12 +378,11 @@ class TrainedBundle:
         if type(version) is not int or version not in (1, 2):
             raise ValueError(f"unsupported bundle format_version {version!r}")
         method = doc["method"]
-        needs = {"explor": ("ensemble", "net"), "erm": ("net",), "pl_ens": ("ensemble",)}
-        if method not in needs:
+        if method not in METHOD_PARTS:
             raise ValueError(f"unknown bundle method {method!r}")
-        for part in needs[method]:
-            if doc[part] is None:
-                raise ValueError(f"{method} bundle has no {part}")
+        for part in ("ensemble", "net"):
+            if (doc[part] is None) == (part in METHOD_PARTS[method]):
+                raise ValueError(f"{method} bundle {'has no' if doc[part] is None else 'has an unused'} {part}")
         lm = LatentMap(
             mean=np.array(doc["latent_map"]["mean"], dtype=np.float64),
             components=np.array(doc["latent_map"]["components"], dtype=np.float64),
@@ -535,31 +537,21 @@ def train_pl_ens(ds: Dataset, pl_cfg: PseudoLabelConfig, n_components: int | Non
     )
 
 
-def predict_heads(bundle: TrainedBundle, X) -> np.ndarray:
-    """Per-head probabilities of the network on raw feature rows."""
-    if bundle.net is None:
-        raise ValueError(f"bundle of method {bundle.method!r} has no network heads")
-    Z = encode(bundle.latent_map, X)
-    return sigmoid(bundle.net.logits(Z))
+def score(bundle: TrainedBundle, X):
+    """(scores, columns) for raw feature rows X: the one scoring path of every method.
 
-
-def predict_explor(bundle: TrainedBundle, X) -> np.ndarray:
-    """Bagged score: average of the ensemble mean and the mean head probability."""
-    if bundle.method != "explor":
-        raise ValueError(f"predict_explor needs an explor bundle, got {bundle.method!r}")
+    X is encoded once; the net runs first, then the labelers. The score is
+    the mean head probability, the labeler vote fraction, or their average
+    (h + g) / 2 when the bundle has both. The columns are the (N, K) head
+    probabilities, or the 0/1 votes of a bundle with no net.
+    """
     Z = encode(bundle.latent_map, X)
-    g = bundle.ensemble.ensemble_mean(Z)
-    h = sigmoid(bundle.net.logits(Z)).mean(axis=1)
-    return 0.5 * (g + h)
+    columns = [] if bundle.net is None else [sigmoid(bundle.net.logits(Z))]
+    if bundle.ensemble is not None:
+        columns.append(bundle.ensemble.predict_matrix(Z))
+    return sum(c.mean(axis=1) for c in columns) / len(columns), columns[0]
 
 
 def predict(bundle: TrainedBundle, X) -> np.ndarray:
     """Score rows of X with whatever the bundle's method deploys."""
-    if bundle.method == "explor":
-        return predict_explor(bundle, X)
-    if bundle.method == "erm":
-        return predict_heads(bundle, X).mean(axis=1)
-    if bundle.method == "pl_ens":
-        Z = encode(bundle.latent_map, X)
-        return bundle.ensemble.ensemble_mean(Z)
-    raise ValueError(f"unknown bundle method {bundle.method!r}")
+    return score(bundle, X)[0]

@@ -226,7 +226,7 @@ def test_criterion_06_variance_reduction():
             "net": {"hidden": [32, 32], "iterations": 500, "batch_size": 256},
         })
         train_ds, ood = make_synthetic_radial(1200, 800, 8, seed=seed)
-        out = run_stability(train_ds, ood, cfg, methods=["explor", "erm"], trials=10, fraction=0.8)
+        out = run_stability(train_ds, ood, cfg)
         ve = out["methods"]["explor"]["mean_variance"]
         vr = out["methods"]["erm"]["mean_variance"]
         ratios.append(ve / vr)

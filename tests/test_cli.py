@@ -392,7 +392,10 @@ class TestMalformedBundle:
         assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
         return tmp_path, base, json.loads((tmp_path / "bundle.json").read_text())
 
-    @pytest.mark.parametrize("breakage", ["no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net", "tree_child_out_of_range", "labeler_threshold_differs"])
+    @pytest.mark.parametrize("breakage", [
+        "no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net", "tree_child_out_of_range",
+        "labeler_threshold_differs", "latent_mean_too_short", "latent_component_nan", "latent_variance_too_short",
+    ])
     def test_predict_exits_one_without_traceback(self, workdir, capsys, breakage):
         tmp_path, base, doc = self.fitted(workdir)
         if breakage == "no_latent_map":
@@ -409,6 +412,13 @@ class TestMalformedBundle:
             tree["left"][0] = -1
         elif breakage == "labeler_threshold_differs":
             doc["ensemble"]["labelers"][0]["decision_threshold"] = 0.9
+        elif breakage == "latent_mean_too_short":
+            # One mean would broadcast over every column and score silently wrong.
+            doc["latent_map"]["mean"] = [0.5]
+        elif breakage == "latent_component_nan":
+            doc["latent_map"]["components"][0][0] = float("nan")
+        elif breakage == "latent_variance_too_short":
+            doc["latent_map"]["explained_variance"] = doc["latent_map"]["explained_variance"][:1]
         else:
             doc["net"] = None
         (tmp_path / "broken.json").write_text(json.dumps(doc))
@@ -426,16 +436,14 @@ class TestStability:
     def base_cfg(self):
         return load_config(None) | {}
 
-    def merged(self):
-        return _merge_config(DEFAULTS, tiny_cfg())
+    def merged(self, methods, trials=2, fraction=0.8):
+        stability = {"methods": methods, "trials": trials, "subsample_fraction": fraction}
+        return _merge_config(DEFAULTS, tiny_cfg(stability=stability))
 
     def test_forced_identical_seeds_give_zero_variance(self):
         train_ds, test_ds = self.make_sets()
-        cfg = self.merged()
-        out = run_stability(
-            train_ds, test_ds, cfg, methods=["explor"], trials=3, fraction=0.8,
-            subsample_seeds=[11, 11, 11], train_seeds=[7, 7, 7],
-        )
+        cfg = self.merged(["explor"], trials=3)
+        out = run_stability(train_ds, test_ds, cfg, subsample_seeds=[11, 11, 11], train_seeds=[7, 7, 7])
         matrix = out["methods"]["explor"]["matrix"]
         assert np.array_equal(matrix[0], matrix[1]) and np.array_equal(matrix[0], matrix[2])
         # Identical rows leave only the rounding of the column mean, whose
@@ -444,8 +452,7 @@ class TestStability:
 
     def test_default_seeds_vary_per_trial(self):
         train_ds, test_ds = self.make_sets(seed=1)
-        cfg = self.merged()
-        out = run_stability(train_ds, test_ds, cfg, methods=["pl_ens"], trials=3, fraction=0.7)
+        out = run_stability(train_ds, test_ds, self.merged(["pl_ens"], trials=3, fraction=0.7))
         matrix = out["methods"]["pl_ens"]["matrix"]
         assert matrix.shape == (3, test_ds.n)
         assert not (np.array_equal(matrix[0], matrix[1]) and np.array_equal(matrix[1], matrix[2]))
@@ -453,15 +460,14 @@ class TestStability:
     def test_subsample_draws_shared_across_methods(self):
         """Adding a method must not change another method's trials."""
         train_ds, test_ds = self.make_sets(seed=2)
-        cfg = self.merged()
-        solo = run_stability(train_ds, test_ds, cfg, methods=["pl_ens"], trials=2)
-        both = run_stability(train_ds, test_ds, cfg, methods=["erm", "pl_ens"], trials=2)
+        solo = run_stability(train_ds, test_ds, self.merged(["pl_ens"]))
+        both = run_stability(train_ds, test_ds, self.merged(["erm", "pl_ens"]))
         assert np.array_equal(solo["methods"]["pl_ens"]["matrix"], both["methods"]["pl_ens"]["matrix"])
 
     def test_too_few_trials_rejected(self):
         train_ds, test_ds = self.make_sets(seed=3)
         with pytest.raises(ConfigError, match="trials"):
-            run_stability(train_ds, test_ds, self.merged(), methods=["pl_ens"], trials=1)
+            run_stability(train_ds, test_ds, self.merged(["pl_ens"], trials=1))
 
     def test_command_artifacts(self, workdir):
         tmp_path, cfg_path = workdir

@@ -1,8 +1,9 @@
-"""The README's config block and the demos stay true to the code.
+"""The README's config block, the demos and the package exports stay true to the code.
 
 The README lists every config key with its default in a ``jsonc`` block;
 with the ``//`` comments stripped it must equal ``cli.DEFAULTS``. Every
 script in ``demos/`` must run to completion and remove its temp files.
+Every name in ``explor.__all__`` must exist on the package.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import explor
 from explor.cli import DEFAULTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +31,10 @@ def readme_config() -> dict:
 
 def test_readme_config_block_is_defaults():
     assert readme_config() == DEFAULTS
+
+
+def test_every_export_exists():
+    assert sorted(n for n in explor.__all__ if not hasattr(explor, n)) == []
 
 
 def test_demos_found():

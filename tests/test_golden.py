@@ -5,6 +5,8 @@ artifact byte-identical. These tests pin the sha256 of
 
 - ``bundle.json``, ``predictions.csv`` and ``report.json`` from the
   command-line chain at the criterion-8 config, and
+- ``predictions.csv`` with ``--heads`` for each method, and the
+  ``pl_family`` ``ablation.csv``, at the same config, and
 - library ``train`` bundles at the benchmark config (N=2000, d=8, k=64,
   hidden 64,64, 50 iterations, seed 7) in four loss variants, and with the
   expansion drawn once up front, and
@@ -49,6 +51,14 @@ REFERENCE = {
             "predictions.csv": "e1e1b8e601f29a59f93d1345aa51b216fbb04f1ef652dba1ddc5fec40df03acc",
             "report.json": "f6007f45866d2698aec89326a87e89e31a9cdbdfcb0bf699d6210397b5b0586d",
         },
+        "criterion_08_heads": {
+            "erm": "6c359f519d5b0c86677f5f629accb863bdfa6ae0831fe076a9f31d2eb0247935",
+            "explor": "fa59e0fb5f4cf06262cea1e671f29ad3164116b1a09e3cfc0743554964a30dec",
+            "pl_ens": "5fe99d3e664bea8b4a510ac3738c3afac700bc7788060a118f516724afb43a39",
+        },
+        "ablation": {
+            "pl_family": "ebeb3a375339acce27f164005b270c65ee28b21b3bc9a4ee0b4d5b55ce0d3dcd",
+        },
         "bench_train": {
             "full": "ea6fcb1b2bcfb47a53613c2497d905f3112f823b7e7ec45f7f9ce7973ef71d66",
             "match_only": "baee889f7b9dcc3c5a8859f95f8e510bbf59658145f604dc5aee2826e4cc2db7",
@@ -77,9 +87,11 @@ def check(section: str, got: dict) -> None:
     assert got == {name: ref[section][name] for name in got}
 
 
-def test_criterion_08_artifacts(tmp_path):
+def criterion_08_synth(tmp_path, method="explor") -> list:
+    """Write the criterion-8 config and data into tmp_path; return the common CLI arguments."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
+        "method": method,
         "latent": {"components": 4},
         "pseudo": {"k": 8, "max_depth": 4},
         "net": {"hidden": [16, 16], "iterations": 60, "batch_size": 64},
@@ -87,10 +99,30 @@ def test_criterion_08_artifacts(tmp_path):
     }))
     base = ["--config", str(cfg_path), "--output-dir", str(tmp_path)]
     assert main(["synth", *base]) == 0
+    return base
+
+
+def test_criterion_08_artifacts(tmp_path):
+    base = criterion_08_synth(tmp_path)
     assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
     assert main(["predict", "--bundle", str(tmp_path / "bundle.json"), "--data", str(tmp_path / "ood_test.csv"), *base]) == 0
     assert main(["eval", "--predictions", str(tmp_path / "predictions.csv"), "--data", str(tmp_path / "ood_test.csv"), *base]) == 0
     check("criterion_08", {name: sha256(tmp_path / name) for name in ("bundle.json", "predictions.csv", "report.json")})
+
+
+@pytest.mark.parametrize("method", ["erm", "explor", "pl_ens"])
+def test_criterion_08_heads_predictions(method, tmp_path):
+    base = criterion_08_synth(tmp_path, method)
+    assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
+    assert main(["predict", "--bundle", str(tmp_path / "bundle.json"), "--data", str(tmp_path / "ood_test.csv"), "--heads", *base]) == 0
+    check("criterion_08_heads", {method: sha256(tmp_path / "predictions.csv")})
+
+
+def test_criterion_08_pl_family_ablation(tmp_path):
+    base = criterion_08_synth(tmp_path)
+    data = ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "ood_test.csv")]
+    assert main(["ablate", *data, "--axis", "pl_family", *base]) == 0
+    check("ablation", {"pl_family": sha256(tmp_path / "ablation.csv")})
 
 
 @pytest.fixture(scope="module")

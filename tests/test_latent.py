@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from explor.latent import decode, encode, expand_with, fit_pca
+from explor.latent import LatentMap, decode, encode, expand_with, fit_pca
 from explor.seeding import generator
 
 
@@ -88,6 +88,22 @@ class TestFitPca:
         X[4, 0] = np.nan
         with pytest.raises(ValueError, match="row 2, column 1"):
             encode(lm, X)
+
+    @pytest.mark.parametrize("part,value,match", [
+        ("mean", np.zeros(1), "shapes"),
+        ("mean", np.zeros((1, 4)), "shapes"),
+        ("components", np.zeros(4), "shapes"),
+        ("components", np.zeros((0, 4)), "shapes"),
+        ("explained_variance", np.ones(1), "shapes"),
+        ("components", np.array([[np.nan, 0, 0, 0], [0, 1, 0, 0]]), "non-finite"),
+        ("mean", np.array([0, np.inf, 0, 0]), "non-finite"),
+    ])
+    def test_map_rejects_bad_shapes_and_values(self, part, value, match):
+        """A map whose mean would broadcast, or that holds NaN, must not be built."""
+        lm = fit_pca(np.random.default_rng(0).standard_normal((6, 4)), 2)
+        parts = {"mean": lm.mean, "components": lm.components, "explained_variance": lm.explained_variance}
+        with pytest.raises(ValueError, match=match):
+            LatentMap(**{**parts, part: value})
 
 
 class TestExpansion:

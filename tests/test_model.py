@@ -26,9 +26,8 @@ from explor.model import (
     loss_and_grads,
     loss_terms,
     predict,
-    predict_explor,
-    predict_heads,
     save_bundle,
+    score,
     sigmoid,
     train,
     train_erm,
@@ -397,6 +396,7 @@ class TestTrain:
         assert b.net.heads == 1
         X = np.random.default_rng(13).standard_normal((10, ds.d))
         assert predict(b, X).shape == (10,)
+        assert score(b, X)[1].shape == (10, 1)
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -445,7 +445,10 @@ class TestErm:
         ds = small_ds(seed=12)
         b = train_erm(ds, quick_net(its=10), heads=4, n_components=4)
         X = np.random.default_rng(15).standard_normal((12, ds.d))
-        assert np.array_equal(predict(b, X), predict_heads(b, X).mean(axis=1))
+        from explor.latent import encode
+
+        probs = sigmoid(b.net.logits(encode(b.latent_map, X)))
+        assert np.array_equal(predict(b, X), probs.mean(axis=1))
 
 
 class TestPlEns:
@@ -457,14 +460,33 @@ class TestPlEns:
 
         assert np.array_equal(predict(b, X), b.ensemble.ensemble_mean(encode(b.latent_map, X)))
 
-    def test_method_dispatch_errors(self):
+
+class TestScore:
+    """``score`` is the one scoring path: its parts are checked against the bundle's own pieces."""
+
+    @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
+    def test_scores_and_columns_from_the_bundle_parts(self, method):
         ds = small_ds(seed=14)
-        pl = train_pl_ens(ds, quick_pl(), n_components=4)
-        erm = train_erm(ds, quick_net(its=2), heads=2, n_components=4)
-        with pytest.raises(ValueError, match="no network"):
-            predict_heads(pl, ds.features)
-        with pytest.raises(ValueError, match="explor"):
-            predict_explor(erm, ds.features)
+        if method == "explor":
+            b = train(ds, quick_net(its=6), quick_pl(k=5), n_components=4)
+        elif method == "erm":
+            b = train_erm(ds, quick_net(its=6), heads=5, n_components=4)
+        else:
+            b = train_pl_ens(ds, quick_pl(k=5), n_components=4)
+        X = np.random.default_rng(21).standard_normal((18, ds.d))
+        from explor.latent import encode
+
+        Z = encode(b.latent_map, X)
+        probs = None if b.net is None else sigmoid(b.net.logits(Z))
+        votes = None if b.ensemble is None else b.ensemble.predict_matrix(Z)
+        scores, columns = score(b, X)
+        assert columns.shape == (18, 5)
+        assert np.array_equal(columns, votes if probs is None else probs)
+        if method == "explor":
+            want = 0.5 * (b.ensemble.ensemble_mean(Z) + probs.mean(axis=1))
+        else:
+            want = columns.mean(axis=1)
+        assert np.array_equal(scores, want) and np.array_equal(predict(b, X), scores)
 
 
 class TestBundleIO:
@@ -524,6 +546,14 @@ class TestBundleIO:
         doc = train(ds, quick_net(its=2), quick_pl(), n_components=4).to_dict()
         doc["ensemble"] = None
         with pytest.raises(ValueError, match="no ensemble"):
+            TrainedBundle.from_dict(doc)
+
+    @pytest.mark.parametrize("method,part", [("erm", "ensemble"), ("pl_ens", "net")])
+    def test_unused_part_for_method_rejected(self, method, part):
+        """``score`` uses every part a bundle has, so a part the method does not deploy must not load."""
+        ds = small_ds(seed=18)
+        doc = dict(train(ds, quick_net(its=2), quick_pl(), n_components=4).to_dict(), method=method)
+        with pytest.raises(ValueError, match=f"unused {part}"):
             TrainedBundle.from_dict(doc)
 
     @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
