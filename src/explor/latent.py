@@ -73,13 +73,18 @@ def fit_pca(X, n_components: int | None = None) -> LatentMap:
     return LatentMap(mean=mean, components=comps, explained_variance=(sing[:s] ** 2) / (n - 1))
 
 
-def encode(lm: LatentMap, X) -> np.ndarray:
-    """Project rows of X into the latent space; every feature must be finite."""
+def check_rows(lm: LatentMap, X) -> np.ndarray:
+    """X as a float64 (N, d) matrix for ``lm``; a wrong shape or a non-finite feature raises ValueError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != lm.d:
         raise ValueError(f"expected shape (N, {lm.d}), got {X.shape}")
     _check_finite(X)
-    return (X - lm.mean) @ lm.components.T
+    return X
+
+
+def encode(lm: LatentMap, X) -> np.ndarray:
+    """Project rows of X into the latent space; every feature must be finite."""
+    return (check_rows(lm, X) - lm.mean) @ lm.components.T
 
 
 def decode(lm: LatentMap, Z) -> np.ndarray:

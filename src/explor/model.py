@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .latent import LatentMap, encode, expand_with, fit_pca
+from .latent import LatentMap, check_rows, encode, expand_with, fit_pca
 from .pseudolabel import PseudoLabelConfig, PseudoLabelEnsemble, fit_ensemble
 from .seeding import derive_seed, generator
 
@@ -42,6 +42,11 @@ LOSS_MODES = ("full", "match_only", "mean_only", "single_head")
 METHOD_PARTS = {"explor": ("ensemble", "net"), "erm": ("net",), "pl_ens": ("ensemble",)}
 
 _PROB_EPS = 1e-12  # clamp for log() in the probability-space loss
+
+# ``score`` runs every block at exactly this many rows, zero-padding the last,
+# so BLAS always picks the same kernel and a row's bytes never depend on its
+# neighbours; it also bounds the activations held at once.
+_SCORE_BLOCK = 256
 
 
 class TrainingDivergence(RuntimeError):
@@ -388,11 +393,17 @@ class TrainedBundle:
             components=np.array(doc["latent_map"]["components"], dtype=np.float64),
             explained_variance=np.array(doc["latent_map"]["explained_variance"], dtype=np.float64),
         )
+        ensemble = None if doc["ensemble"] is None else PseudoLabelEnsemble.from_dict(doc["ensemble"])
+        net = None if doc["net"] is None else ExplorNet.from_dict(doc["net"])
+        if net is not None and net.input_dim != lm.s:
+            raise ValueError(f"net input_dim {net.input_dim} differs from the latent width {lm.s}")
+        if ensemble is not None and ensemble.n_features > lm.s:
+            raise ValueError(f"a tree splits on feature {ensemble.n_features - 1}, outside the latent width {lm.s}")
         return cls(
             method=method,
             latent_map=lm,
-            ensemble=None if doc["ensemble"] is None else PseudoLabelEnsemble.from_dict(doc["ensemble"]),
-            net=None if doc["net"] is None else ExplorNet.from_dict(doc["net"]),
+            ensemble=ensemble,
+            net=net,
             net_config=None if doc["net_config"] is None else NetConfig(**doc["net_config"]),
             sigma=doc["sigma"],
             trace=[tuple(t) for t in doc["trace"]],
@@ -540,16 +551,35 @@ def train_pl_ens(ds: Dataset, pl_cfg: PseudoLabelConfig, n_components: int | Non
 def score(bundle: TrainedBundle, X):
     """(scores, columns) for raw feature rows X: the one scoring path of every method.
 
-    X is encoded once; the net runs first, then the labelers. The score is
-    the mean head probability, the labeler vote fraction, or their average
-    (h + g) / 2 when the bundle has both. The columns are the (N, K) head
-    probabilities, or the 0/1 votes of a bundle with no net.
+    X is checked whole, then scored in blocks of ``_SCORE_BLOCK`` rows, the
+    last one zero-padded: each block is encoded, run through the net, then
+    the labelers, and only its real rows are kept. So a row's bytes do not
+    depend on the rows scored with it, and memory beyond X and the outputs
+    stays flat in N. The score is the mean head probability, the labeler
+    vote fraction, or their average (h + g) / 2 when the bundle has both.
+    The columns are the (N, K) head probabilities, or the 0/1 votes of a
+    bundle with no net.
     """
-    Z = encode(bundle.latent_map, X)
-    columns = [] if bundle.net is None else [sigmoid(bundle.net.logits(Z))]
-    if bundle.ensemble is not None:
-        columns.append(bundle.ensemble.predict_matrix(Z))
-    return sum(c.mean(axis=1) for c in columns) / len(columns), columns[0]
+    # C order gives every full block the padded block's layout, so BLAS treats them alike.
+    X = np.ascontiguousarray(check_rows(bundle.latent_map, X))
+    n = len(X)
+    net, ens = bundle.net, bundle.ensemble
+    scores = np.empty(n)
+    columns = np.empty((n, ens.k), dtype=np.int64) if net is None else np.empty((n, net.heads))
+    pad = np.zeros((_SCORE_BLOCK, X.shape[1]))
+    for start in range(0, n, _SCORE_BLOCK):
+        block = X[start : start + _SCORE_BLOCK]
+        m = len(block)
+        if m < _SCORE_BLOCK:
+            pad[:m] = block
+            block = pad
+        Z = encode(bundle.latent_map, block)
+        parts = [] if net is None else [sigmoid(net.logits(Z))]
+        if ens is not None:
+            parts.append(ens.predict_matrix(Z))
+        scores[start : start + m] = (sum(c.mean(axis=1) for c in parts) / len(parts))[:m]
+        columns[start : start + m] = parts[0][:m]
+    return scores, columns
 
 
 def predict(bundle: TrainedBundle, X) -> np.ndarray:

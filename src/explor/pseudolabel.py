@@ -222,7 +222,8 @@ class PseudoLabelEnsemble:
         self._feat = np.concatenate([np.zeros((nt, 0), np.intp), *feats], axis=1)
         self._thr = np.concatenate([np.zeros((nt, 0)), *thrs], axis=1)
         self._leaf_vote = np.concatenate([t.value for t in self.trees])[node] >= self.config.decision_threshold
-        self._n_features = int(feature.max()) + 1
+        # Rows need at least this many columns: one more than the largest split feature id.
+        self.n_features = int(feature.max()) + 1
 
     @property
     def k(self) -> int:
@@ -231,8 +232,8 @@ class PseudoLabelEnsemble:
     def predict_matrix(self, X) -> np.ndarray:
         """(N, K) hard pseudo-labels for every labeler at once."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] < self._n_features:
-            raise ValueError(f"expected shape (N, >= {self._n_features}), got {X.shape}")
+        if X.ndim != 2 or X.shape[1] < self.n_features:
+            raise ValueError(f"expected shape (N, >= {self.n_features}), got {X.shape}")
         n, d = X.shape
         nt, inner = self._feat.shape
         # take() reads the tables and X as flat arrays: tree t's slot i is
@@ -248,7 +249,7 @@ class PseudoLabelEnsemble:
             idx += 2
             idx -= go_left
         idx += (np.arange(nt) * (inner + 1))[:, None] - inner
-        votes = self._leaf_vote.take(idx).reshape(self.k, -1, n)
+        votes = self._leaf_vote.take(idx).reshape(self.k, self.config.trees_per_labeler, n)
         return (votes.mean(axis=1) >= 0.5).T.astype(np.int64)
 
     def ensemble_mean(self, X) -> np.ndarray:

@@ -386,10 +386,10 @@ class TestUnlabelledScoring:
 
 
 class TestMalformedBundle:
-    def fitted(self, workdir):
+    def fitted(self, workdir, *fit_args):
         tmp_path, cfg_path = workdir
         base = ["--config", str(cfg_path), "--output-dir", str(tmp_path)]
-        assert main(["fit", "--train", str(tmp_path / "train.csv"), *base]) == 0
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), *base, *fit_args]) == 0
         return tmp_path, base, json.loads((tmp_path / "bundle.json").read_text())
 
     @pytest.mark.parametrize("breakage", [
@@ -427,6 +427,22 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert code == 1
         assert "malformed bundle" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["explor", "pl_ens"])
+    def test_latent_map_narrower_than_its_parts_exits_one(self, workdir, capsys, method):
+        """A latent map cut below the net's input_dim, or below a tree's split feature, is a malformed bundle."""
+        tmp_path, base, doc = self.fitted(workdir, "--method", method)
+        features = [f for lab in doc["ensemble"]["labelers"] for t in lab["trees"] for f in t["feature"]]
+        width = 2 if method == "explor" else max(features)
+        assert width >= 1
+        lm = doc["latent_map"]
+        lm["components"], lm["explained_variance"] = lm["components"][:width], lm["explained_variance"][:width]
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--bundle", str(tmp_path / "broken.json"), "--data", str(tmp_path / "ood_test.csv"), *base])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "broken.json: malformed bundle" in err and "latent width" in err and "Traceback" not in err
 
 
 class TestStability:

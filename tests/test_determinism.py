@@ -3,7 +3,9 @@
 Each run is a fresh process with ``OPENBLAS_NUM_THREADS`` set before numpy
 loads. It runs the criterion-8 ``synth -> fit -> predict`` chain, then an
 ERM fit on the default 512x512 net, whose batch products are large enough
-for OpenBLAS to split them across threads.
+for OpenBLAS to split them across threads. Last, at the same thread count,
+rows of the library scored alone or in small subsets must get exactly the
+bytes they get in the full batch.
 """
 
 import json
@@ -14,6 +16,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ARTIFACTS = ("bundle.json", "predictions.csv", "erm/bundle.json")
+ROW_LOCAL = """
+import sys
+import numpy as np
+from explor.data import load_features
+from explor.model import load_bundle, score
+b, X = load_bundle(sys.argv[1]), load_features(sys.argv[2])
+full = score(b, X)
+for idx in ([0], [len(X) - 1], list(range(3, 6)), list(range(17))[::-1], list(range(1, len(X), 2))):
+    part = score(b, X[idx])
+    assert all(p.tobytes() == f[idx].tobytes() for p, f in zip(part, full)), idx
+"""
 
 
 def run_chain(out: Path, threads: int) -> dict:
@@ -36,6 +49,10 @@ def run_chain(out: Path, threads: int) -> dict:
         ["fit", "--train", str(out / "train.csv"), *base, *wide, "--output-dir", str(out / "erm")],
     ):
         proc = subprocess.run([sys.executable, "-m", "explor.cli", *argv], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    for bundle in ("bundle.json", "erm/bundle.json"):
+        argv = ["-c", ROW_LOCAL, str(out / bundle), str(out / "ood_test.csv")]
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
     return {name: (out / name).read_bytes() for name in ARTIFACTS}
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explor.metrics import (
     EvalReport,
@@ -348,3 +350,37 @@ class TestEvaluate:
         assert back.auprc == rep.auprc
         assert back.auroc == rep.auroc
         assert back.counts == rep.counts
+
+
+@st.composite
+def permuted_sets(draw, tied):
+    """(scores, labels, perm) with both classes; ``tied`` draws from four score values, else all scores differ."""
+    n = draw(st.integers(2, 40))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda y: 0 < sum(y) < n))
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) if tied else st.floats(-1e6, 1e6, allow_nan=False)
+    scores = draw(st.lists(values, min_size=n, max_size=n, unique=not tied))
+    return np.array(scores), np.array(labels), np.array(draw(st.permutations(range(n))))
+
+
+class TestPermutationProperties:
+    """Permuting scores and labels together: what must stay fixed, and what may move.
+
+    Ties break by ascending index, so under ties the ranking, and with it
+    AUPRC and EF, depend on the order of the rows; only AUROC, which counts
+    a tie as half a win, is a function of the multiset of (score, label)
+    pairs. With distinct scores the ranking itself is order-free.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(permuted_sets(tied=False))
+    def test_distinct_scores_leave_every_field_unchanged(self, case):
+        scores, labels, perm = case
+        assert evaluate(ScoredSet(scores[perm], labels[perm])).to_dict() == evaluate(ScoredSet(scores, labels)).to_dict()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(permuted_sets(tied=True))
+    def test_ties_leave_auroc_unchanged_and_equal_to_the_pair_count(self, case):
+        scores, labels, perm = case
+        want = oracle_auroc_pairwise(scores.tolist(), labels.tolist())
+        assert auroc(ScoredSet(scores, labels)) == want
+        assert auroc(ScoredSet(scores[perm], labels[perm])) == want

@@ -6,13 +6,18 @@ from the absolute-value kink of the mean term. The Adam oracle is the
 textbook update written as an independent scalar loop.
 """
 
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explor.data import Dataset, make_synthetic_radial
+from explor.latent import encode, fit_pca
 from explor.model import (
     Adam,
     ExplorNet,
@@ -33,7 +38,7 @@ from explor.model import (
     train_erm,
     train_pl_ens,
 )
-from explor.pseudolabel import PseudoLabelConfig
+from explor.pseudolabel import PseudoLabelConfig, fit_ensemble
 
 
 # ---------------------------------------------------------------- oracles
@@ -365,8 +370,6 @@ class TestTrain:
         ds = small_ds(seed=3)
         b = train(ds, quick_net(its=0), quick_pl(), n_components=4)
         X = np.random.default_rng(11).standard_normal((30, ds.d))
-        from explor.latent import encode
-
         g = b.ensemble.ensemble_mean(encode(b.latent_map, X))
         assert np.array_equal(predict(b, X), (g + 0.5) / 2.0)
 
@@ -445,8 +448,6 @@ class TestErm:
         ds = small_ds(seed=12)
         b = train_erm(ds, quick_net(its=10), heads=4, n_components=4)
         X = np.random.default_rng(15).standard_normal((12, ds.d))
-        from explor.latent import encode
-
         probs = sigmoid(b.net.logits(encode(b.latent_map, X)))
         assert np.array_equal(predict(b, X), probs.mean(axis=1))
 
@@ -456,8 +457,6 @@ class TestPlEns:
         ds = small_ds(seed=13)
         b = train_pl_ens(ds, quick_pl(seed=3, k=5), n_components=4)
         X = np.random.default_rng(17).standard_normal((15, ds.d))
-        from explor.latent import encode
-
         assert np.array_equal(predict(b, X), b.ensemble.ensemble_mean(encode(b.latent_map, X)))
 
 
@@ -474,8 +473,6 @@ class TestScore:
         else:
             b = train_pl_ens(ds, quick_pl(k=5), n_components=4)
         X = np.random.default_rng(21).standard_normal((18, ds.d))
-        from explor.latent import encode
-
         Z = encode(b.latent_map, X)
         probs = None if b.net is None else sigmoid(b.net.logits(Z))
         votes = None if b.ensemble is None else b.ensemble.predict_matrix(Z)
@@ -487,6 +484,71 @@ class TestScore:
         else:
             want = columns.mean(axis=1)
         assert np.array_equal(scores, want) and np.array_equal(predict(b, X), scores)
+
+
+@functools.lru_cache(maxsize=None)
+def library_case(method):
+    """A small trained bundle of ``method``, a 600-row library and the library's full-batch (scores, columns)."""
+    train_ds, library = make_synthetic_radial(200, 600, 12, seed=3)
+    net_cfg = NetConfig(hidden=(32, 32), iterations=20, batch_size=32, seed=1)
+    pl_cfg = PseudoLabelConfig(k=8, max_depth=4, seed=2)
+    if method == "explor":
+        b = train(train_ds, net_cfg, pl_cfg, n_components=6)
+    elif method == "erm":
+        b = train_erm(train_ds, net_cfg, heads=8, n_components=6)
+    else:
+        b = train_pl_ens(train_ds, pl_cfg, n_components=6)
+    return b, library.features, score(b, library.features)
+
+
+class TestBlockedScore:
+    """``score`` runs fixed, zero-padded blocks: row-local bytes, flat memory, whole-X checks."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        method=st.sampled_from(["explor", "erm", "pl_ens"]),
+        size=st.one_of(st.sampled_from([1, 3, 17, 63, 255, 256, 257, 600]), st.integers(1, 600)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(method="explor", size=1, seed=0)
+    @example(method="erm", size=17, seed=0)
+    def test_rows_score_as_in_the_full_library(self, method, size, seed):
+        """Any subset of the library, in any order, gets exactly the bytes its rows get in the full batch."""
+        b, X, (full_scores, full_columns) = library_case(method)
+        idx = np.random.default_rng(seed).permutation(len(X))[:size]
+        scores, columns = score(b, X[idx])
+        assert scores.tobytes() == full_scores[idx].tobytes()
+        assert columns.dtype == full_columns.dtype and columns.tobytes() == full_columns[idx].tobytes()
+
+    def test_peak_memory_is_flat_in_rows(self):
+        """20,000 rows through a 512x512, 64-head net and 64 labelers hold no (N, 512) activations."""
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((20000, 16))
+        lm = fit_pca(X[:500], 8)
+        ens = fit_ensemble(Dataset(encode(lm, X[:500]), rng.integers(0, 2, 500)), PseudoLabelConfig(k=64, seed=5))
+        b = TrainedBundle(method="explor", latent_map=lm, ensemble=ens, net=ExplorNet(8, (512, 512), 64, seed=5))
+        tracemalloc.start()
+        try:
+            scores, columns = score(b, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns.shape == (20000, 64)
+        assert peak < scores.nbytes + columns.nbytes + 16 * 2**20
+
+    @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
+    def test_non_finite_error_names_the_row_in_x(self, method):
+        b, X, _ = library_case(method)
+        X = X.copy()
+        X[300, 2] = np.nan
+        with pytest.raises(ValueError, match="row 300, column 2"):
+            score(b, X)
+
+    @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
+    def test_empty_input_keeps_the_shapes(self, method):
+        b, X, (_, full_columns) = library_case(method)
+        scores, columns = score(b, X[:0])
+        assert scores.shape == (0,) and columns.shape == (0, 8) and columns.dtype == full_columns.dtype
 
 
 class TestBundleIO:

@@ -552,6 +552,10 @@ class TestPackedWalk:
         assert ens.predict_matrix(X).tolist() == [[1, 0], [0, 0], [1, 1], [1, 1]]
         assert np.array_equal(ens.predict_matrix(X), oracle_matrix(ens, X))
 
+    @pytest.mark.parametrize("labelers", [([STUMP], [MIXED]), ([STUMP, MIXED, ROOT], [MIXED, ROOT, STUMP])])
+    def test_zero_rows_give_zero_by_k(self, labelers):
+        assert hand_ensemble(*labelers).predict_matrix(np.zeros((0, 2))).shape == (0, 2)
+
     def test_root_only_trees(self):
         ens = hand_ensemble([ROOT], [Tree([-1], [0.0], [-1], [-1], [0.2])])
         X = np.array([[np.nan], [3.0], [-1.0]])
