@@ -185,6 +185,9 @@ def _read_csv(path, label_column, group_column, label_required):
             if group_column not in header:
                 raise DatasetError(f"{path}: group column {group_column!r} not in header {header}")
             group_idx = header.index(group_column)
+        for role, name in (("label", label_column), ("group", group_column)):
+            if header.count(name) > 1:
+                raise DatasetError(f"{path}: {role} column {name!r} appears {header.count(name)} times in header {header}")
         feat_idx = [i for i in range(len(header)) if i != label_idx and i != group_idx]
         if not feat_idx:
             raise DatasetError(f"{path}: no feature columns")
@@ -233,11 +236,14 @@ def _read_csv(path, label_column, group_column, label_required):
 def save_csv(ds: Dataset, path, label_column: str = "label", group_column: str = "group") -> None:
     """Write a Dataset as CSV. Floats use repr, so load/save round-trips bit-exactly."""
     names = ds.feature_names or [f"x{j}" for j in range(ds.d)]
+    header = list(names) + [label_column] + ([group_column] if ds.group is not None else [])
+    # load_csv strips header names and rejects a label or group column named twice.
+    stripped = [h.strip() for h in header]
+    for name in stripped[len(names):]:
+        if stripped.count(name) > 1:
+            raise DatasetError(f"{path}: column {name!r} would appear {stripped.count(name)} times in header {header}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(names) + [label_column]
-        if ds.group is not None:
-            header.append(group_column)
         writer.writerow(header)
         for i in range(ds.n):
             row = [_format_float(v) for v in ds.features[i]]

@@ -58,24 +58,32 @@ class TrainingDivergence(RuntimeError):
 
 
 def elu(x: np.ndarray) -> np.ndarray:
-    out = np.array(x, dtype=np.float64, copy=True)
-    np.expm1(out, out=out, where=out <= 0)
+    # max(x, expm1(min(0, x))) is exact: expm1(x) >= x below zero, and expm1(0) = 0
+    # leaves x above it. No mask, so the SIMD loops run; min(0.0, x) keeps -0.0.
+    x = np.asarray(x, dtype=np.float64)
+    out = np.minimum(0.0, x)
+    np.expm1(out, out=out)
+    np.maximum(x, out, out=out)
     return out
 
 
 def elu_grad(x: np.ndarray) -> np.ndarray:
-    # 1 above zero, exp(x) at and below; continuous since exp(0) = 1.
-    out = np.ones_like(x)
-    np.exp(x, out=out, where=x <= 0)
+    # exp(min(0, x)): exactly 1 above zero, exp(x) at and below; fmin sends NaN to 1.
+    out = np.fmin(0.0, x)
+    np.exp(out, out=out)
     return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # e = exp(-|x|) <= 1 never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
-    # below. min(x, -x) rather than -|x| keeps the sign bit of a NaN input.
+    # below. min(x, -x) rather than -|x| keeps the sign bit of a NaN input. The
+    # numerator max(e, x >= 0) is exactly 1 where x >= 0, since e <= 1 there, and
+    # e elsewhere, since e >= 0 (a NaN e stays NaN).
     e = np.exp(np.minimum(x, -x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    np.maximum(e, x >= 0, out=e)
+    e /= d
+    return e
 
 
 def bce_logits(z: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -166,7 +174,8 @@ class ExplorNet:
         grads["heads.b"] += dlogits.sum(axis=0)
         delta = dlogits @ self.params["heads.w"]
         for i in reversed(range(len(self.hidden))):
-            dpre = delta * elu_grad(pres[i])
+            dpre = elu_grad(pres[i])
+            dpre *= delta
             grads[f"trunk.{i}.w"] += dpre.T @ acts[i]
             grads[f"trunk.{i}.b"] += dpre.sum(axis=0)
             if i > 0:
@@ -311,12 +320,24 @@ class Adam:
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
         for name in self.net.param_names():
-            g = grads[name]
-            self.m[name] = c.beta1 * self.m[name] + (1.0 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1.0 - c.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            self.net.params[name] -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+            # params -= lr * m_hat / (sqrt(v_hat) + eps), in place and in that
+            # operation order, so every byte is the same with two temporaries.
+            g, m, v = grads[name], self.m[name], self.v[name]
+            t = (1.0 - c.beta1) * g
+            m *= c.beta1
+            m += t
+            np.multiply(1.0 - c.beta2, g, out=t)
+            t *= g
+            v *= c.beta2
+            v += t
+            np.divide(m, bc1, out=t)
+            t *= c.learning_rate
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += c.eps
+            t /= denom
+            self.net.params[name] -= t
 
 
 class _BatchStream:

@@ -244,6 +244,15 @@ class TestSynth:
     def test_invalid_size_exit_code(self, tmp_path):
         assert main(["synth", "--n-id", "3", "--output-dir", str(tmp_path)]) == 1
 
+    def test_label_column_named_like_a_feature_exits_one(self, tmp_path, capsys):
+        # synth names its features x0..x{d-1}; a file headed x0,x1,x2,x0 could not be fit.
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_cfg(label_column="x0")))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg_path), "--output-dir", str(out)]) == 1
+        assert "'x0' would appear 2 times" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestFitPredictEval:
     def run_chain(self, tmp_path, cfg_path, extra_fit=()):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explor.data import (
     Dataset,
@@ -79,6 +81,66 @@ class TestCsvRoundtrip:
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.group, ds.group)
         assert back.feature_names == ["x0", "x1", "x2"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    @example(data=None)
+    def test_roundtrip_property(self, tmp_path_factory, data):
+        """Any finite features, 0/1 labels, optional groups and distinct names load back as saved."""
+        if data is None:  # pinned: signed zero, the smallest and largest subnormals, ±1e308
+            X = np.array([[-0.0, 5e-324], [1e308, -1e308], [-2.225073858507201e-308, 0.0]])
+            y, g, names = np.array([0, 1, 1]), np.array([-(2**63), 0, 2**63 - 1]), ["a b", 'q,"x"']
+        else:
+            n = data.draw(st.integers(1, 8), label="n")
+            d = data.draw(st.integers(1, 4), label="d")
+            floats = st.floats(allow_nan=False, allow_infinity=False)
+            X = np.array(data.draw(st.lists(st.lists(floats, min_size=d, max_size=d), min_size=n, max_size=n)))
+            y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            g = data.draw(st.none() | st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+            g = None if g is None else np.array(g, dtype=np.int64)
+            name = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6).filter(
+                lambda s: s == s.strip() and s not in ("label", "group"))
+            names = data.draw(st.none() | st.lists(name, min_size=d, max_size=d, unique=True))
+        ds = Dataset(X, y, group=g, feature_names=names)
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        save_csv(ds, path)
+        back = load_csv(path, group_column="group" if g is not None else None)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert (back.group is None) == (ds.group is None)
+        assert back.group is None or back.group.tobytes() == ds.group.tobytes()
+        assert back.feature_names == (ds.feature_names or [f"x{j}" for j in range(ds.d)])
+
+    @pytest.mark.parametrize("names,label,group,groups", [
+        (["x0", "label"], "label", "group", False),
+        (["x0", "group"], "label", "group", True),
+        (["x0", " label "], "label", "group", False),
+        (["x0", "x1"], "g", "g", True),
+    ], ids=["feature_is_label", "feature_is_group", "stripped_feature_is_label", "label_is_group"])
+    def test_save_rejects_a_header_it_cannot_read(self, tmp_path, names, label, group, groups):
+        ds = Dataset(np.zeros((2, 2)), [0, 1], group=[1, 2] if groups else None, feature_names=names)
+        path = tmp_path / "x.csv"
+        with pytest.raises(DatasetError, match="would appear 2 times"):
+            save_csv(ds, path, label_column=label, group_column=group)
+        assert not path.exists()
+
+    def test_feature_named_group_is_written_without_groups(self, tmp_path):
+        ds = Dataset(np.ones((2, 1)), [0, 1], feature_names=["group"])
+        save_csv(ds, tmp_path / "x.csv")
+        assert load_csv(tmp_path / "x.csv").feature_names == ["group"]
+
+    @pytest.mark.parametrize("header,group", [
+        ("label,a,label", None),
+        ("a, label,label", None),
+        ("a,g,label,g", "g"),
+    ])
+    def test_load_rejects_label_or_group_named_twice(self, tmp_path, header, group):
+        path = tmp_path / "x.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(DatasetError, match="appears 2 times"):
+            load_csv(path, group_column=group)
+        with pytest.raises(DatasetError, match="appears 2 times"):
+            load_features(path, group_column=group)
 
     def test_true_false_labels(self, tmp_path):
         path = tmp_path / "tf.csv"

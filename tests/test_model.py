@@ -130,8 +130,18 @@ class TestPrimitives:
     def test_bytes_match_masked_oracle(self, fn, oracle):
         rng = np.random.default_rng(23)
         edge = np.array([-0.0, 0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan])
+        # Magnitudes where expm1(x) rounds to x, down to the smallest subnormal.
+        tiny = np.geomspace(5e-324, 0.1, 2000)
+        inputs = (
+            rng.standard_normal((256, 64)),
+            40.0 * rng.standard_normal((256, 64)),
+            edge,
+            rng.standard_normal((256, 512)),
+            rng.standard_normal((7, 13)),  # odd shape: SIMD loop tails
+            np.concatenate([tiny, -tiny]),
+        )
         with np.errstate(over="ignore"):  # elu_grad(800) is exp(800) in both forms
-            for x in (rng.standard_normal((256, 64)), 40.0 * rng.standard_normal((256, 64)), edge):
+            for x in inputs:
                 assert fn(x).tobytes() == oracle(x).tobytes()
 
     def test_elu_keeps_negative_zero(self):
@@ -304,23 +314,48 @@ def test_single_head_needs_one_head_net():
 # ------------------------------------------------------------------- adam
 
 def test_adam_matches_scalar_oracle():
-    net = ExplorNet(1, (1,), 1, seed=0)
-    net.params["heads.w"][:] = 0.25
-    cfg = NetConfig(hidden=(1,), learning_rate=0.05, beta1=0.9, beta2=0.999, eps=1e-8, seed=0)
+    net = ExplorNet(1, (4,), 3, seed=0)
+    assert net.params["heads.w"].shape == (3, 4)
+    cfg = NetConfig(hidden=(4,), learning_rate=0.05, beta1=0.9, beta2=0.999, eps=1e-8, seed=0)
+    rng = np.random.default_rng(7)
+    net.params["heads.w"][:] = rng.standard_normal((3, 4))
     opt = Adam(net, cfg)
-    grad_steps = [1.0, -0.5, 2.0]
-    for g in grad_steps:
-        grads = {name: np.full_like(p, g) for name, p in net.params.items()}
+    # The textbook update, one scalar at a time, with the constants formed as
+    # the code forms them (1.0 - 0.9 is 0.09999999999999998, not 0.1).
+    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
+    theta = net.params["heads.w"].tolist()
+    m = [[0.0] * 4 for _ in range(3)]
+    v = [[0.0] * 4 for _ in range(3)]
+    for t in range(1, 6):
+        grads = {name: rng.standard_normal(p.shape) for name, p in net.params.items()}
+        kept = {name: g.copy() for name, g in grads.items()}
         opt.step(grads)
+        for name, g in grads.items():
+            assert g.tobytes() == kept[name].tobytes(), f"step changed grads[{name!r}]"
+        for i, j in np.ndindex(3, 4):
+            g = float(grads["heads.w"][i, j])
+            m[i][j] = b1 * m[i][j] + (1.0 - b1) * g
+            v[i][j] = b2 * v[i][j] + (1.0 - b2) * g * g
+            m_hat = m[i][j] / (1.0 - b1**t)
+            v_hat = v[i][j] / (1.0 - b2**t)
+            theta[i][j] -= lr * m_hat / (math.sqrt(v_hat) + eps)
+        assert opt.m["heads.w"].tolist() == m, t
+        assert opt.v["heads.w"].tolist() == v, t
+        assert net.params["heads.w"].tolist() == theta, t
 
-    theta, m, v = 0.25, 0.0, 0.0
-    for t, g in enumerate(grad_steps, start=1):
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        m_hat = m / (1.0 - 0.9**t)
-        v_hat = v / (1.0 - 0.999**t)
-        theta -= 0.05 * m_hat / (math.sqrt(v_hat) + 1e-8)
-    assert abs(net.params["heads.w"][0, 0] - theta) < 1e-15
+
+def test_backward_leaves_cache_and_dlogits_unchanged():
+    net = ExplorNet(3, (6, 5), 4, seed=2)
+    rng = np.random.default_rng(3)
+    for p in net.params.values():
+        p += rng.standard_normal(p.shape)
+    logits, cache = net.forward(rng.standard_normal((9, 3)))
+    dlogits = rng.standard_normal(logits.shape)
+    acts, pres = cache
+    kept = [a.copy() for a in acts] + [p.copy() for p in pres] + [dlogits.copy()]
+    net.backward(cache, dlogits, net.zero_grads())
+    after = list(acts) + list(pres) + [dlogits]
+    assert [a.tobytes() for a in after] == [a.tobytes() for a in kept]
 
 
 def test_adam_step_order_is_param_name_order():
