@@ -34,6 +34,7 @@ from .model import (
     train,
     train_erm,
     train_pl_ens,
+    write_json,
 )
 from .pseudolabel import PseudoLabelConfig
 from .seeding import derive_seed
@@ -77,28 +78,33 @@ _NULL_KINDS = {"group_column": "", "latent.components": 0}
 
 
 def _same_kind(default, val) -> bool:
-    """Whether ``val`` may replace ``default``: a float takes an int, a bool is never a number."""
+    """Whether ``val`` may replace ``default``: a float takes an int but no bool, and must be finite."""
     if isinstance(default, list):
         return isinstance(val, list) and all(_same_kind(default[0], v) for v in val)
     if isinstance(val, bool) != isinstance(default, bool):
         return False
-    return isinstance(val, (int, float) if isinstance(default, float) else type(default))
+    if isinstance(default, float):
+        # NaN fails the comparison, and so does an int too large for a double.
+        return isinstance(val, (int, float)) and abs(val) <= sys.float_info.max
+    return isinstance(val, type(default))
 
 
-def _merge_config(base: dict, override: dict, path: str = "") -> dict:
+def _merge_config(base: dict, override: dict, path: str = "", schema: dict = DEFAULTS) -> dict:
+    """``base`` with ``override``'s keys, each checked against its default in ``schema``."""
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in schema:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
+        default = schema[key]
+        if isinstance(default, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
-            out[key] = _merge_config(base[key], val, where)
-        elif base[key] is None and not (val is None or _same_kind(_NULL_KINDS[where], val)):
+            out[key] = _merge_config(base[key], val, where, default)
+        elif default is None and not (val is None or _same_kind(_NULL_KINDS[where], val)):
             raise ConfigError(f"config key {where!r} must be null or of type {type(_NULL_KINDS[where]).__name__}, got {val!r}")
-        elif base[key] is not None and not _same_kind(base[key], val):
-            raise ConfigError(f"config key {where!r} must be of the same type as its default {base[key]!r}, got {val!r}")
+        elif default is not None and not _same_kind(default, val):
+            raise ConfigError(f"config key {where!r} must be of the same type as its default {default!r}, got {val!r}")
         else:
             out[key] = val
     return out
@@ -106,9 +112,8 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
 
 def load_config(path: str | None) -> dict:
     """DEFAULTS overlaid with the JSON file at ``path`` (if any)."""
-    cfg = copy.deepcopy(DEFAULTS)
     if path is None:
-        return cfg
+        return copy.deepcopy(DEFAULTS)
 
     def reject(name):
         raise ConfigError(f"{path}: non-finite number {name} is not allowed")
@@ -120,20 +125,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return _merge_config(cfg, doc)
-
-
-# flag dest -> (config section or None, key, value parser)
-def _csv_floats(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _csv_ints(text):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _csv_names(text):
-    return [x.strip() for x in text.split(",") if x.strip() != ""]
+    return _merge_config(DEFAULTS, doc)
 
 
 # Dataclass-backed keys with no flag of their own: the Adam constants are set
@@ -141,54 +133,51 @@ def _csv_names(text):
 _NO_FLAG = ("beta1", "beta2", "eps", "redraw_expansion_each_batch")
 
 
-def _section_flags(section: str) -> dict:
-    """FLAG_MAP entries for a dataclass-backed DEFAULTS section, each parsed by its default's type."""
-    parse = {int: int, float: float, str: str, list: _csv_ints}
-    return {
-        key: (section, key, parse[type(val)])
-        for key, val in DEFAULTS[section].items()
-        if key not in _NO_FLAG
-    }
+def _list_parser(kind):
+    def parse(text):
+        return [kind(x.strip()) for x in text.split(",") if x.strip() != ""]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
-FLAG_MAP = {
-    "method": (None, "method", str),
-    "seed": (None, "seed", int),
-    "label_column": (None, "label_column", str),
-    "group_column": (None, "group_column", str),
-    "components": ("latent", "components", int),
-    "sigma": ("latent", "sigma", float),
-    **_section_flags("pseudo"),
-    **_section_flags("net"),
-    "taus": ("metrics", "taus", _csv_floats),
-    "ef_fractions": ("metrics", "ef_fractions", _csv_floats),
-    "trials": ("stability", "trials", int),
-    "subsample_fraction": ("stability", "subsample_fraction", float),
-    "stability_methods": ("stability", "methods", _csv_names),
-    "clusters": ("loo", "clusters", int),
-    "n_id": ("synth", "n_id", int),
-    "n_ood": ("synth", "n_ood", int),
-    "d": ("synth", "d", int),
-}
+def _flag_map(section: dict, path: str = "") -> dict:
+    """flag dest -> (dotted config key, value parser) for every key under ``section`` that has a flag.
+
+    The dest is the key itself, and the parser follows the default's type (a
+    null default's from ``_NULL_KINDS``); list items are comma separated.
+    """
+    out = {}
+    for key, default in section.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(default, dict):
+            out.update(_flag_map(default, where))
+        elif key not in _NO_FLAG:
+            kind = _NULL_KINDS[where] if default is None else default
+            parse = _list_parser(type(kind[0])) if isinstance(kind, list) else type(kind)
+            out["stability_methods" if where == "stability.methods" else key] = (where, parse)
+    return out
 
 
-def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    cfg = copy.deepcopy(cfg)
-    for dest, (section, key, _) in FLAG_MAP.items():
+FLAG_MAP = _flag_map(DEFAULTS)
+
+
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    """The config document spelled by the flags given on the command line."""
+    doc = {}
+    for dest, (where, _) in FLAG_MAP.items():
         val = getattr(args, dest, None)
-        if val is None:
-            continue
-        if section is None:
-            cfg[key] = val
-        else:
-            cfg[section][key] = val
+        if val is not None:
+            section, _, key = where.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = val
     if getattr(args, "redraw_expansion", None) is not None:
-        cfg["net"]["redraw_expansion_each_batch"] = args.redraw_expansion
-    return cfg
+        doc.setdefault("net", {})["redraw_expansion_each_batch"] = args.redraw_expansion
+    return doc
 
 
 def resolve_config(config_path, args) -> dict:
-    cfg = _apply_flags(load_config(config_path), args)
+    """DEFAULTS overlaid with the config file, then with the flags; every value is checked alike."""
+    cfg = _merge_config(load_config(config_path), _flag_overrides(args))
     if cfg["method"] not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg['method']!r}")
     for m in cfg["stability"]["methods"]:
@@ -206,12 +195,6 @@ def _write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 def _train_bundle(cfg: dict, ds: Dataset, base_seed: int | None = None) -> TrainedBundle:
@@ -305,7 +288,7 @@ def cmd_eval(cfg: dict, predictions_path: str, data_path: str, out_dir: str, wri
     scored = me.ScoredSet(scores, ds.labels)
     report = me.evaluate(scored, taus=cfg["metrics"]["taus"], ef_fractions=cfg["metrics"]["ef_fractions"])
     paths = {"report": f"{out_dir}/report.json"}
-    _write_json(paths["report"], report.to_dict())
+    write_json(paths["report"], report.to_dict())
     if write_pr:
         recall, precision = me.pr_curve(scored)
         paths["pr_curve"] = f"{out_dir}/pr_curve.csv"
@@ -391,7 +374,7 @@ def cmd_stability(cfg: dict, train_path: str, test_path: str, out_dir: str) -> d
             ([str(t)] + [_format_float(v) for v in matrix[t]] for t in range(matrix.shape[0])),
         )
         print(f"{method}: mean variance {block['mean_variance']:.6f} over {result['trials']} trials")
-    _write_json(paths["report"], doc)
+    write_json(paths["report"], doc)
     return paths
 
 
@@ -418,7 +401,7 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
         "summary": summary,
     }
     paths = {"report": f"{out_dir}/loo.json", "folds": f"{out_dir}/folds.csv"}
-    _write_json(paths["report"], doc)
+    write_json(paths["report"], doc)
 
     def fold_rows():
         for j, (train_idx, test_idx) in enumerate(folds):
@@ -497,7 +480,7 @@ _FLAG_EXTRAS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
     p.add_argument("--output-dir", default=".", help="directory for output artifacts")
-    for dest, (_, _, parse) in FLAG_MAP.items():
+    for dest, (_, parse) in FLAG_MAP.items():
         extra = dict(_FLAG_EXTRAS.get(dest, {}))
         flag = extra.pop("flag", "--" + dest.replace("_", "-"))
         p.add_argument(flag, dest=dest, type=parse, default=None, **extra)

@@ -431,11 +431,16 @@ class TrainedBundle:
         )
 
 
-def save_bundle(bundle: TrainedBundle, path) -> None:
-    """Write a bundle as deterministic JSON (sorted keys, repr floats)."""
+def write_json(path, doc) -> None:
+    """Write ``doc`` as deterministic JSON: sorted keys, no spaces, repr floats, one trailing newline."""
     with open(path, "w") as fh:
-        json.dump(bundle.to_dict(), fh, sort_keys=True, separators=(",", ":"))
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def save_bundle(bundle: TrainedBundle, path) -> None:
+    """Write a bundle as deterministic JSON."""
+    write_json(path, bundle.to_dict())
 
 
 def load_bundle(path) -> TrainedBundle:

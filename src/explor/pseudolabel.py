@@ -91,6 +91,8 @@ class Tree:
             raise ValueError(f"tree node arrays must be 1-d, nonempty and equally long, got {[a.shape for a in arrays]}")
         if np.any(self.feature < -1):
             raise ValueError("tree features must be >= -1")
+        if not np.all(np.isfinite(self.threshold)):
+            raise ValueError("tree thresholds must be finite")
         internal = self.feature >= 0
         children = np.concatenate([self.left[internal], self.right[internal]])
         if np.any((children < 0) | (children >= n)):

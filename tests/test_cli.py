@@ -184,6 +184,14 @@ class TestFlagSurface:
             cfg[top] = DEFAULTS[top]
         assert cfg == DEFAULTS
 
+    def test_flags_are_checked_against_the_defaults_not_the_file(self, tmp_path):
+        """A file may hold an int for a float key or an empty list; a flag still overrides it."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"latent": {"sigma": 1}, "metrics": {"taus": []}, "group_column": "g"}))
+        args = build_parser().parse_args(["synth", "--sigma", "0.25", "--taus", "0.5", "--group-column", "h"])
+        got = resolve_config(str(cfg), args)
+        assert (got["latent"]["sigma"], got["metrics"]["taus"], got["group_column"]) == (0.25, [0.5], "h")
+
     @pytest.mark.parametrize("argv,want", [([], True), (["--freeze-expansion"], False), (["--redraw-expansion"], True)])
     def test_expansion_pair(self, argv, want):
         cfg = resolve_config(None, build_parser().parse_args(["synth", *argv]))
@@ -212,6 +220,10 @@ class TestNonFiniteConfig:
         ["--learning-rate", "nan"],
         ["--decision-threshold", "nan", "--method", "pl_ens"],
         ["--instance-fraction", "nan", "--method", "pl_ens"],
+        ["--sigma", "inf"],
+        ["--lambda", "inf"],
+        ["--learning-rate", "inf"],
+        ["--taus", "inf"],
     ])
     def test_nan_flag_exits_one(self, workdir, capsys, argv):
         tmp_path, cfg_path = workdir
@@ -229,6 +241,18 @@ class TestNonFiniteConfig:
         capsys.readouterr()
         code = main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg), "--output-dir", str(tmp_path), "--method", method])
         assert code == 1 and f"non-finite number {constant}" in capsys.readouterr().err
+        assert not (tmp_path / "bundle.json").exists()
+
+    @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400], ids=["1e999", "int_of_401_digits"])
+    def test_number_beyond_a_double_in_config_file_exits_one(self, workdir, capsys, literal):
+        # json parses 1e999 to inf without the NaN/Infinity tokens; a 401-digit int fits no double.
+        tmp_path, _ = workdir
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"net": {"lambda_expand": %s}}' % literal)
+        capsys.readouterr()
+        code = main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "config key 'net.lambda_expand'" in err and "Traceback" not in err
         assert not (tmp_path / "bundle.json").exists()
 
 
@@ -452,6 +476,18 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert code == 1
         assert "broken.json: malformed bundle" in err and "latent width" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_tree_threshold_exits_one(self, workdir, capsys, literal):
+        """fit_tree never writes a non-finite threshold; one in a bundle would route rows silently."""
+        tmp_path, base, doc = self.fitted(workdir, "--method", "pl_ens")
+        doc["ensemble"]["labelers"][0]["trees"][0]["threshold"][0] = "@"
+        (tmp_path / "broken.json").write_text(json.dumps(doc).replace('"@"', literal))
+        capsys.readouterr()
+        code = main(["predict", "--bundle", str(tmp_path / "broken.json"), "--data", str(tmp_path / "ood_test.csv"), *base])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "malformed bundle: tree thresholds must be finite" in err and "Traceback" not in err
 
 
 class TestStability:

@@ -3,12 +3,14 @@
 The README lists every config key with its default in a ``jsonc`` block;
 with the ``//`` comments stripped it must equal ``cli.DEFAULTS``. Every
 script in ``demos/`` must run to completion and remove its temp files.
-Every name in ``explor.__all__`` must exist on the package.
+Every name in ``explor.__all__`` must exist on the package, and every
+``explor`` command in the README's ``sh`` blocks must parse.
 """
 
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import explor
-from explor.cli import DEFAULTS
+from explor.cli import DEFAULTS, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -31,6 +33,24 @@ def readme_config() -> dict:
 
 def test_readme_config_block_is_defaults():
     assert readme_config() == DEFAULTS
+
+
+def readme_commands() -> list:
+    """Every ``explor ...`` line of the README's ``sh`` blocks, backslash continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("explor ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for line in commands:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_every_export_exists():

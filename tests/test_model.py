@@ -606,6 +606,35 @@ class TestBundleIO:
         save_bundle(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        method=st.sampled_from(["explor", "erm", "pl_ens"]),
+        k=st.integers(1, 4),
+        max_depth=st.integers(1, 4),
+        trees_per_labeler=st.integers(1, 3),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        loss_mode=st.sampled_from(["full", "match_only", "mean_only", "single_head"]),
+        its=st.integers(1, 6),
+    )
+    def test_roundtrip_property(self, tmp_path_factory, method, k, max_depth, trees_per_labeler, hidden, loss_mode, its):
+        """Any small bundle loads back to the same document and scores the same bytes."""
+        ds = small_ds(seed=25, n=40, d=4)
+        net_cfg = quick_net(its=its, hidden=tuple(hidden), loss_mode=loss_mode, snapshot_interval=2)
+        pl_cfg = PseudoLabelConfig(k=k, max_depth=max_depth, trees_per_labeler=trees_per_labeler, seed=3)
+        if method == "explor":
+            b = train(ds, net_cfg, pl_cfg, n_components=3)
+        elif method == "erm":
+            b = train_erm(ds, net_cfg, heads=k, n_components=3)
+        else:
+            b = train_pl_ens(ds, pl_cfg, n_components=3)
+        path = tmp_path_factory.mktemp("bundle") / "bundle.json"
+        save_bundle(b, path)
+        back = load_bundle(path)
+        assert back.to_dict() == b.to_dict()
+        X = np.random.default_rng(26).standard_normal((30, ds.d))
+        for got, want in zip(score(back, X), score(b, X)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("breakage,match", [
         ("drop trunk.0.w", "missing"),
         ("drop heads.b", "missing"),
