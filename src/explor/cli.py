@@ -73,6 +73,14 @@ DEFAULTS = {
 }
 
 
+# The ranges of the keys that no config dataclass owns: (test, wording).
+_RANGES = {
+    "stability.trials": (lambda v: v >= 2, ">= 2"),
+    "stability.subsample_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "loo.clusters": (lambda v: v >= 1, ">= 1"),
+}
+
+
 # For each key whose default is null, a value of the kind it may take instead.
 _NULL_KINDS = {"group_column": "", "latent.components": 0}
 
@@ -176,13 +184,22 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
 
 
 def resolve_config(config_path, args) -> dict:
-    """DEFAULTS overlaid with the config file, then with the flags; every value is checked alike."""
+    """DEFAULTS overlaid with the config file, then with the flags; every value is checked alike.
+
+    This runs before any data file is read, so a bad value costs no work.
+    """
     cfg = _merge_config(load_config(config_path), _flag_overrides(args))
     if cfg["method"] not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg['method']!r}")
+    if not cfg["stability"]["methods"]:
+        raise ConfigError("config key 'stability.methods' must name at least one method")
     for m in cfg["stability"]["methods"]:
         if m not in METHODS:
             raise ConfigError(f"stability method must be one of {METHODS}, got {m!r}")
+    for where, (ok, wording) in _RANGES.items():
+        section, key = where.split(".")
+        if not ok(cfg[section][key]):
+            raise ConfigError(f"config key {where!r} must be {wording}, got {cfg[section][key]!r}")
     return cfg
 
 

@@ -135,12 +135,16 @@ def subsample(ds: Dataset, spec: SubsampleSpec):
     -------
     (Dataset, row_indices, col_indices)
     """
-    rng = generator(spec.seed)
-    n_rows = math.ceil(spec.instance_fraction * ds.n)
-    n_cols = math.ceil(spec.feature_fraction * ds.d)
-    rows = np.sort(rng.choice(ds.n, size=n_rows, replace=False))
-    cols = np.sort(rng.choice(ds.d, size=n_cols, replace=False))
+    rows, cols = subsample_indices(ds.n, ds.d, spec)
     return ds.take(rows, cols), rows, cols
+
+
+def subsample_indices(n: int, d: int, spec: SubsampleSpec):
+    """The sorted (row_indices, col_indices) that :func:`subsample` draws from an (n, d) set."""
+    rng = generator(spec.seed)
+    rows = np.sort(rng.choice(n, size=math.ceil(spec.instance_fraction * n), replace=False))
+    cols = np.sort(rng.choice(d, size=math.ceil(spec.feature_fraction * d), replace=False))
+    return rows, cols
 
 
 def load_csv(path, label_column: str = "label", group_column: str | None = None) -> Dataset:

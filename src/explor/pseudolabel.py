@@ -2,17 +2,29 @@
 
 Each labeler sees its own without-replacement row and column subsample and
 fits a small CART tree (or a majority-vote forest of them) on it. Split
-quality is weighted Gini impurity. ``fit_tree`` stable-argsorts each column
-once per tree and hands every node its rows in each column's sorted order,
-divided at a split by one boolean row mask; restricted to a node, the
-presort is the node's own stable sort. A node scores every (feature, cut)
-candidate in one 2-D array, with +inf for cuts between equal values or
-leaving fewer than ``min_leaf`` rows on a side, and splits at the first
-minimum of that array flattened feature-major: ties go to the lowest
-feature index, then the lowest threshold, so fitting is fully
-deterministic. The threshold is the midpoint of the two values around the
-cut, or the lower value where the midpoint rounds onto the upper one (two
-adjacent doubles) or overflows. Tree feature indices always refer to the
+quality is weighted Gini impurity.
+
+Trees grow level by level, a block of equal-shape trees at a time:
+``fit_ensemble`` grows trees of up to ``_BLOCK_ROWS`` rows in all together,
+and ``fit_tree`` is the block of one. The rows of each node stay one
+contiguous run of each column's stable presort; restricted to a node, the
+presort is the node's own stable sort. An ensemble argsorts its training
+matrix once, since restricted to a tree's ascending rows that order is the
+tree's own. One set of array operations handles every node of every tree
+of a level. A segmented cumsum counts the positives left of each cut. The
+weighted Gini of every (node, feature, cut) candidate is formed in the IEEE
+operation order of the per-node formula, with +inf for cuts between equal
+values, cuts leaving fewer than ``min_leaf`` rows on a side, and pure
+nodes. ``minimum.reduceat`` then picks each node's first minimum of its
+candidates flattened feature-major: ties go to the lowest feature index,
+then the lowest threshold, so fitting is fully deterministic. Two boolean
+compresses move the rows of all left children, then of all right children,
+into the next level's runs. The threshold is the midpoint of the two values
+around the cut, or the lower value where the midpoint rounds onto the upper
+one (two adjacent doubles) or overflows. At the end each tree's nodes are
+renumbered into preorder, a node before its left subtree before its right
+one, as a recursive grower numbers them; so a tree has the same bytes
+whatever block it grew in. Tree feature indices always refer to the
 original columns.
 
 Prediction lays every tree of every labeler out as a complete binary tree
@@ -32,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, SubsampleSpec, subsample
+from .data import Dataset, SubsampleSpec, subsample_indices
 from .seeding import derive_seed, generator
 
 
@@ -118,64 +130,162 @@ class Tree:
         return cls(doc["feature"], doc["threshold"], doc["left"], doc["right"], doc["value"])
 
 
+# The most rows, summed over its trees, that one block grows together. It
+# bounds the level temporaries, about ten (d, rows) arrays, whatever K * T is.
+_BLOCK_ROWS = 4096
+
+
 def fit_tree(X, y, max_depth: int = 6, min_leaf: int = 2) -> Tree:
-    """Grow a CART tree on (X, y) with depth and leaf-size stopping rules."""
+    """Grow a CART tree on (X, y) with depth and leaf-size stopping rules.
+
+    This is the level-wise grower run on a block of one tree.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     if n == 0:
         raise ValueError("fit_tree needs at least one row")
+    if d == 0:  # nothing to split on
+        return Tree([-1], [0.0], [-1], [-1], [y.sum() / n])
     Xt = np.ascontiguousarray(X.T)
-    col = (np.arange(d) * n)[:, None]  # Xt.take(order + col)[j] is Xt[j, order[j]]
-    in_left = np.zeros(n, dtype=bool)  # one row mask for every split, cleared after use
-    feature, threshold, left, right, value = [], [], [], [], []
+    (tree,) = _grow(Xt, y, np.argsort(Xt, axis=1, kind="stable"), np.arange(d)[None], max_depth, min_leaf)
+    return tree
 
-    def grow(order, pos, depth):
-        # order[j] lists the node's rows sorted by column j; pos counts its positives.
-        node = len(feature)
-        m = order.shape[1]
-        frac = pos / m
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(frac)
-        if depth >= max_depth or m < 2 * min_leaf or frac in (0.0, 1.0):
-            return node
-        # Cut c puts a column's first c + 1 sorted rows left; only cuts lo..hi-1
-        # leave min_leaf rows on both sides, and column i of the arrays is cut lo + i.
-        lo, hi = min_leaf - 1, m - min_leaf
-        sv = Xt.take(order + col)
-        ok = sv[:, lo + 1 : hi + 1] > sv[:, lo:hi]
-        if not ok.any():
-            return node
-        n_left = np.arange(lo + 1, hi + 1)
-        n_right = m - n_left
-        pos_left = np.cumsum(y.take(order[:, :hi]), axis=1)[:, lo:]
-        p_l = pos_left / n_left
-        p_r = (pos - pos_left) / n_right
-        gini_l = 1.0 - p_l**2 - (1.0 - p_l) ** 2
-        gini_r = 1.0 - p_r**2 - (1.0 - p_r) ** 2
-        weighted = (n_left * gini_l + n_right * gini_r) / m
-        weighted[~ok] = np.inf
-        # The first minimum in feature-major order: lowest feature, then lowest threshold.
-        j, i = divmod(int(np.argmin(weighted)), hi - lo)
-        a, b = sv[j, lo + i : lo + i + 2].tolist()  # Python floats overflow to inf silently
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _grow(Xt, y, order, cols, max_depth, min_leaf) -> list:
+    """Grow B trees of n rows and d columns each, one level of all of them at a time.
+
+    ``Xt`` (d, B*n) holds tree b's values in columns b*n..(b+1)*n and ``y``
+    its labels; ``order[j]`` lists each tree's rows sorted by column j within
+    the tree's own run of n. ``cols`` (B, d) maps a tree's column j to the
+    feature id it is stored under.
+    """
+    d, total = order.shape
+    n_trees = cols.shape[0]
+    flat = (np.arange(d) * total)[:, None]  # Xt.take(order + flat)[j] is Xt[j, order[j]]
+    in_left = np.zeros(total, dtype=bool)
+    # The level's nodes: each owns positions start..start+size of every row of order.
+    size = np.full(n_trees, total // n_trees)
+    start = np.arange(n_trees) * size[0]
+    tree = np.arange(n_trees)
+    levels = []  # per level: (tree, value, split, feature, threshold)
+    for depth in range(max_depth + 1):
+        width = order.shape[1]
+        pos = np.add.reduceat(y.take(order[0]), start)
+        value = pos / size
+        if depth == max_depth:
+            levels.append((tree, value, np.zeros(size.size, dtype=bool), None, None))
+            break
+        node = np.repeat(np.arange(size.size), size)  # the node of each position
+        sv = Xt.take(order + flat)
+        labels = y.take(order)
+        # Segmented cumsum: each node's first position subtracts the positives of the nodes before it.
+        labels[:, start[1:]] -= pos[:-1]
+        pos_left = np.cumsum(labels, axis=1, out=labels)
+        n_left = np.arange(1, width + 1) - np.repeat(start, size)
+        n_right = np.repeat(size, size) - n_left
+        # Cut c puts a node's first c + 1 sorted rows left; it needs min_leaf rows
+        # on each side, distinct values around it, and a node that is not pure.
+        ok = np.zeros((d, width), dtype=bool)
+        np.greater(sv[:, 1:], sv[:, :-1], out=ok[:, :-1])
+        ok &= (n_left >= min_leaf) & (n_right >= min_leaf) & ((pos > 0) & (pos < size))[node]
+        # The weighted Gini (n_l * g(p_l) + n_r * g(p_r)) / m with g(p) = 1 - p**2 - (1 - p)**2,
+        # in that formula's operation order so trees keep their bytes. It is formed in
+        # place, freeing each temporary early, so a level holds only a few (d, width) buffers.
+        gini_l = np.divide(pos_left, n_left)
+        np.subtract(pos[node], pos_left, out=pos_left)
+        gini_r = np.divide(pos_left, n_right)  # 0 / 0 at each node's last position, masked below
+        del pos_left, labels
+        tmp = np.empty_like(gini_l)
+        for g in (gini_l, gini_r):
+            np.subtract(1.0, g, out=tmp)
+            np.square(tmp, out=tmp)
+            np.square(g, out=g)
+            np.subtract(1.0, g, out=g)
+            g -= tmp
+        del tmp
+        gini_l *= n_left
+        gini_r *= n_right
+        weighted = np.add(gini_l, gini_r, out=gini_l)
+        del gini_r
+        weighted /= size[node]
+        np.logical_not(ok, out=ok)
+        np.copyto(weighted, np.inf, where=ok)
+        # The first minimum of each node's (d, m) block, flattened feature-major.
+        col_min = np.minimum.reduceat(weighted, start, axis=1)
+        best = col_min.min(axis=0, initial=np.inf)
+        split = best < np.inf
+        j = (col_min == best).argmax(axis=0)
+        at = np.arange(width)
+        in_j = j[node] * width + at  # each position in its node's column j
+        hit = weighted.take(in_j) == best[node]
+        cut = np.minimum.reduceat(np.where(hit, at, width), start)
+        feature = j[split]
+        a = sv[feature, cut[split]]
+        b = sv[feature, cut[split] + 1]
         t = (a + b) / 2.0
-        if not a <= t < b:  # the midpoint rounded onto b, or overflowed: cut at a
-            t = a
-        n_l, pos_l = lo + i + 1, int(pos_left[j, i])
-        in_left[order[j, :n_l]] = True
+        # The midpoint rounded onto b, or overflowed: cut at a.
+        threshold = np.where((a <= t) & (t < b), t, a)
+        levels.append((tree, value, split, cols[tree[split], feature], threshold))
+        if not split.any():
+            break
+        # Rows up to the cut in the split column go left: mark them, then read
+        # the mark in every column's order and compress left, then right.
+        in_left[order.take(in_j)] = at <= cut[node]
         go_left = in_left.take(order)
-        in_left[order[j, :n_l]] = False
-        feature[node] = j
-        threshold[node] = t
-        left[node] = grow(order[go_left].reshape(d, n_l), pos_l, depth + 1)
-        right[node] = grow(order[~go_left].reshape(d, m - n_l), pos - pos_l, depth + 1)
-        return node
+        keep = split[node]
+        go_left &= keep
+        go_right = np.not_equal(keep, go_left)
+        order = np.concatenate([np.compress(go.ravel(), order).reshape(d, -1) for go in (go_left, go_right)], axis=1)
+        n_l = cut[split] - start[split] + 1
+        size = np.concatenate([n_l, size[split] - n_l])
+        start = np.cumsum(size) - size
+        tree = np.concatenate([tree[split], tree[split]])
+    return _preorder(levels, n_trees)
 
-    grow(np.argsort(Xt, axis=1, kind="stable"), int(y.sum()), 0)
-    return Tree(feature, threshold, left, right, value)
+
+def _preorder(levels, n_trees) -> list:
+    """Number each tree's nodes in preorder, as a recursive grower would, and build the Trees.
+
+    A level's split nodes have their left children first, then their right
+    children, in the same order at the next level. A left child follows its
+    parent; a right child follows the parent's whole left subtree.
+    """
+    below = np.zeros(0, dtype=np.intp)
+    subtree = []
+    for _, value, split, _, _ in reversed(levels):
+        s = np.ones(value.size, dtype=np.intp)
+        s[split] += below[: below.size // 2] + below[below.size // 2 :]
+        subtree.append(s)
+        below = s
+    subtree.reverse()
+    n_nodes = subtree[0]
+    first = np.cumsum(n_nodes) - n_nodes
+    total = int(n_nodes.sum())
+    feature = np.full(total, -1, dtype=np.int32)
+    threshold = np.zeros(total)
+    left = np.full(total, -1, dtype=np.int32)
+    right = np.full(total, -1, dtype=np.int32)
+    value = np.empty(total)
+    pre = np.zeros(n_trees, dtype=np.intp)
+    for depth, (tree, val, split, feat, thr) in enumerate(levels):
+        at = first[tree] + pre
+        value[at] = val
+        if not split.any():
+            break
+        at = at[split]
+        feature[at] = feat
+        threshold[at] = thr
+        pre_l = pre[split] + 1
+        pre_r = pre_l + subtree[depth + 1][: pre_l.size]
+        left[at] = pre_l
+        right[at] = pre_r
+        pre = np.concatenate([pre_l, pre_r])
+    return [
+        Tree(*(arr[o : o + m] for arr in (feature, threshold, left, right, value)))
+        for o, m in zip(first.tolist(), n_nodes.tolist())
+    ]
 
 
 class PseudoLabelEnsemble:
@@ -283,29 +393,51 @@ def fit_ensemble(ds: Dataset, cfg: PseudoLabelConfig) -> PseudoLabelEnsemble:
     """Fit K labelers, each on its own seeded row/column subsample.
 
     Per-labeler streams are derived from (cfg.seed, labeler index), so the
-    result is identical no matter in what order labelers are fit.
+    result is identical no matter in what order labelers are fit. Trees are
+    grown in blocks of at most ``_BLOCK_ROWS`` rows in all, each gathered
+    from the training matrix when its block starts.
     """
-    y = ds.labels
-    if np.unique(y).size < 2:
+    if np.unique(ds.labels).size < 2:
         raise ValueError("fit_ensemble needs both classes in the training set")
-    trees = []
+    Xt = np.ascontiguousarray(ds.features.T)
+    # rank[j, i] is row i's place in column j's stable sort, so sorting a tree's
+    # rows by rank gives the tree's own stable sort, because its rows ascend.
+    rank = np.empty(Xt.shape, dtype=np.intp)
+    np.put_along_axis(rank, np.argsort(Xt, axis=1, kind="stable"), np.arange(ds.n), axis=1)
+    trees, block = [], []
+    for rows, cols in _tree_draws(ds.n, ds.d, cfg):
+        block.append((rows, cols))
+        if (len(block) + 1) * rows.size > _BLOCK_ROWS:
+            trees += _grow_subsamples(Xt, rank, ds.labels, block, cfg)
+            block = []
+    if block:
+        trees += _grow_subsamples(Xt, rank, ds.labels, block, cfg)
+    return PseudoLabelEnsemble(trees, cfg)
+
+
+def _tree_draws(n: int, d: int, cfg: PseudoLabelConfig):
+    """Each tree's sorted (rows, cols) of an (n, d) training set, in labeler order."""
     for k in range(cfg.k):
         seed_k = derive_seed(cfg.seed, "labeler", k)
-        sub, _, cols = subsample(
-            ds, SubsampleSpec(cfg.instance_fraction, cfg.feature_fraction, seed_k)
-        )
+        rows, cols = subsample_indices(n, d, SubsampleSpec(cfg.instance_fraction, cfg.feature_fraction, seed_k))
+        if cfg.trees_per_labeler == 1:
+            yield rows, cols
+            continue
         for t in range(cfg.trees_per_labeler):
-            if cfg.trees_per_labeler == 1:
-                tx, ty = sub.features, sub.labels
-            else:
-                # Forest diversity: re-subsample the labeler's rows per tree.
-                rng = generator(derive_seed(seed_k, "tree", t))
-                m = math.ceil(cfg.instance_fraction * sub.n)
-                pick = np.sort(rng.choice(sub.n, size=m, replace=False))
-                tx, ty = sub.features[pick], sub.labels[pick]
-            tree = fit_tree(tx, ty, cfg.max_depth, cfg.min_leaf)
-            # Remap split features from subsample-local ids to original columns.
-            internal = tree.feature >= 0
-            tree.feature[internal] = cols[tree.feature[internal]]
-            trees.append(tree)
-    return PseudoLabelEnsemble(trees, cfg)
+            # Forest diversity: re-subsample the labeler's rows per tree.
+            rng = generator(derive_seed(seed_k, "tree", t))
+            pick = rng.choice(rows.size, size=math.ceil(cfg.instance_fraction * rows.size), replace=False)
+            yield rows[np.sort(pick)], cols
+
+
+def _grow_subsamples(Xt, rank, y, block, cfg: PseudoLabelConfig) -> list:
+    """The trees of one block of equal-shape (rows, cols) draws from the (d, N) training matrix ``Xt``."""
+    rows = np.stack([r for r, _ in block])
+    cols = np.stack([c for _, c in block])
+    (b, n), d = rows.shape, cols.shape[1]
+    at = (cols[:, :, None], rows[:, None, :])  # (b, d, n): tree i's column j, row r
+    # Ranks within a column are distinct, so any sort of them is the stable one.
+    order = np.argsort(rank[at], axis=2) + (np.arange(b) * n)[:, None, None]
+    order = order.transpose(1, 0, 2).reshape(d, b * n)
+    values = Xt[at].transpose(1, 0, 2).reshape(d, b * n)
+    return _grow(values, y[rows].ravel(), order, cols, cfg.max_depth, cfg.min_leaf)

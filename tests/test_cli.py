@@ -6,6 +6,7 @@ full synth/fit/predict/eval chain stays fast.
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -254,6 +255,45 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert code == 1 and "config key 'net.lambda_expand'" in err and "Traceback" not in err
         assert not (tmp_path / "bundle.json").exists()
+
+
+class TestRangesBeforeAnyWork:
+    """A value out of its range exits 1 naming its dotted key before any file is read, and writes nothing."""
+
+    @pytest.mark.parametrize("command,argv,key", [
+        ("stability", ["--stability-methods", ""], "stability.methods"),
+        ("stability", ["--subsample-fraction", "5"], "stability.subsample_fraction"),
+        ("stability", ["--subsample-fraction", "0"], "stability.subsample_fraction"),
+        ("stability", ["--trials", "1"], "stability.trials"),
+        ("loo", ["--clusters", "0"], "loo.clusters"),
+        ("fit", ["--clusters", "-1"], "loo.clusters"),
+    ])
+    def test_flag_exits_one_naming_its_key(self, workdir, capsys, command, argv, key):
+        tmp_path, cfg_path = workdir
+        out = tmp_path / "out"
+        data = {
+            "stability": ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "ood_test.csv")],
+            "loo": ["--data", str(tmp_path / "train.csv")],
+            "fit": ["--train", str(tmp_path / "train.csv")],
+        }[command]
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main([command, *data, "--config", str(cfg_path), "--output-dir", str(out), *argv])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1 and f"config key {key!r}" in err and "Traceback" not in err
+        assert elapsed < 1.0
+        assert not out.exists()
+
+    def test_empty_methods_in_config_file_exits_one(self, workdir, capsys):
+        tmp_path, _ = workdir
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps(tiny_cfg(stability={"methods": []})))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["stability", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "ood_test.csv"), "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 1 and "config key 'stability.methods'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynth:

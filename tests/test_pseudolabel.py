@@ -11,6 +11,7 @@ the packed complete-tree walk must match it exactly.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from explor.pseudolabel import (
     fit_ensemble,
     fit_tree,
 )
-from explor.seeding import derive_seed
+from explor.seeding import derive_seed, generator
 
 
 # ---------------------------------------------------------------- oracles
@@ -234,6 +235,10 @@ class TestFitTree:
         tree = fit_tree(np.array([[3.0]]), np.array([1]))
         assert tree.n_nodes == 1 and tree.value[0] == 1.0
 
+    def test_no_columns_is_leaf(self):
+        tree = fit_tree(np.zeros((3, 0)), np.array([0, 1, 1]))
+        assert tree.n_nodes == 1 and tree.feature[0] == -1 and tree.value[0] == 2 / 3
+
     def test_constant_features_are_leaf(self):
         tree = fit_tree(np.ones((6, 3)), np.array([0, 1, 0, 1, 0, 1]))
         assert tree.n_nodes == 1 and tree.value[0] == 0.5
@@ -328,6 +333,30 @@ def small_fits(draw):
     return np.array(cols, dtype=np.float64).T.reshape(n, d), np.array(y), draw(st.integers(0, 10)), draw(st.integers(1, 3))
 
 
+@st.composite
+def small_ensembles(draw):
+    """A dataset and config whose K·T trees of up to a few hundred rows span one or several blocks."""
+    n = draw(st.integers(2, 400))
+    d = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (n, d)).astype(float) if draw(st.booleans()) else rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = 1.0
+    y = rng.integers(0, 2, n)
+    y[0], y[-1] = 0, 1
+    cfg = PseudoLabelConfig(
+        k=draw(st.integers(1, 24)),
+        trees_per_labeler=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(0, 8)),
+        min_leaf=draw(st.integers(1, 5)),
+        instance_fraction=draw(st.sampled_from([0.3, 0.632, 1.0])),
+        feature_fraction=draw(st.sampled_from([0.5, 1.0])),
+        seed=seed,
+    )
+    return Dataset(X, y), cfg
+
+
 class TestFitTreeMatchesReference:
     """The presorted one-pass ``fit_tree`` grows the reference's trees byte for byte."""
 
@@ -349,6 +378,31 @@ class TestFitTreeMatchesReference:
             want = reference_fit_tree(ds.features[rows][:, cols], ds.labels[rows], cfg.max_depth, cfg.min_leaf)
             want.feature[want.feature >= 0] = cols[want.feature[want.feature >= 0]]
             assert_same_bytes(ens.trees[j], want)
+
+    def test_every_tree_of_a_criterion_7_shaped_forest(self):
+        # Criterion 7's forest labelers: 64 labelers of 5 trees on the encoded benchmark set.
+        train, _ = make_synthetic_radial(2000, 10, 8, 11)
+        ds = Dataset(encode(fit_pca(train.features), train.features), train.labels)
+        cfg = PseudoLabelConfig(k=64, trees_per_labeler=5, seed=derive_seed(11, "ensemble"))
+        ens = fit_ensemble(ds, cfg)
+        for i, tree in enumerate(ens.trees):
+            rows, cols = tree_subsample(ds, cfg, *divmod(i, cfg.trees_per_labeler))
+            want = reference_fit_tree(ds.features[rows][:, cols], ds.labels[rows], cfg.max_depth, cfg.min_leaf)
+            want.feature[want.feature >= 0] = cols[want.feature[want.feature >= 0]]
+            assert_same_bytes(tree, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_ensembles())
+    def test_small_ensembles_tree_by_tree(self, case):
+        """Trees grown together, across block boundaries, are each ``fit_tree`` on the tree's own subsample."""
+        ds, cfg = case
+        ens = fit_ensemble(ds, cfg)
+        for i, tree in enumerate(ens.trees):
+            rows, cols = tree_subsample(ds, cfg, *divmod(i, cfg.trees_per_labeler))
+            want = fit_tree(ds.features[rows][:, cols], ds.labels[rows], cfg.max_depth, cfg.min_leaf)
+            want.feature[want.feature >= 0] = cols[want.feature[want.feature >= 0]]
+            assert_same_bytes(tree, want)
+
 
 
 # --------------------------------------------------------------- ensemble
@@ -381,6 +435,15 @@ def labeler_subsample(ds, cfg, j):
     """The (rows, columns) labeler j is fit on, drawn from its own seed as ``fit_ensemble`` draws it."""
     _, rows, cols = subsample(ds, SubsampleSpec(cfg.instance_fraction, cfg.feature_fraction, derive_seed(cfg.seed, "labeler", j)))
     return rows, cols
+
+
+def tree_subsample(ds, cfg, j, t):
+    """The (rows, columns) tree t of labeler j is fit on: the labeler's draw, re-drawn per tree in a forest."""
+    rows, cols = labeler_subsample(ds, cfg, j)
+    if cfg.trees_per_labeler == 1:
+        return rows, cols
+    rng = generator(derive_seed(derive_seed(cfg.seed, "labeler", j), "tree", t))
+    return rows[np.sort(rng.choice(rows.size, size=math.ceil(cfg.instance_fraction * rows.size), replace=False))], cols
 
 
 class TestEnsemble:
@@ -453,6 +516,18 @@ class TestEnsemble:
         a = fit_ensemble(ds, PseudoLabelConfig(k=6, seed=21)).predict_matrix(X)
         b = fit_ensemble(ds, PseudoLabelConfig(k=6, seed=21)).predict_matrix(X)
         assert np.array_equal(a, b)
+
+    def test_fit_memory_is_bounded_by_the_block(self):
+        """Trees grow a block at a time, so a benchmark-shaped fit's traced peak stays small (38 MiB in one block)."""
+        train, _ = make_synthetic_radial(2000, 10, 8, 7)
+        ds = Dataset(encode(fit_pca(train.features), train.features), train.labels)
+        tracemalloc.start()
+        try:
+            fit_ensemble(ds, PseudoLabelConfig(k=64, seed=7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_single_class_rejected(self):
         ds = Dataset(np.random.default_rng(0).standard_normal((20, 3)), np.ones(20, dtype=int))
