@@ -8,9 +8,9 @@ Trees grow level by level, a block of equal-shape trees at a time:
 ``fit_ensemble`` grows trees of up to ``_BLOCK_ROWS`` rows in all together,
 and ``fit_tree`` is the block of one. The rows of each node stay one
 contiguous run of each column's stable presort; restricted to a node, the
-presort is the node's own stable sort. An ensemble argsorts its training
-matrix once, since restricted to a tree's ascending rows that order is the
-tree's own. One set of array operations handles every node of every tree
+presort is the node's own stable sort. An ensemble stable-sorts each
+training column once, since restricted to a tree's ascending rows that
+order is the tree's own. One set of array operations handles every node of every tree
 of a level. A segmented cumsum counts the positives left of each cut. The
 weighted Gini of every (node, feature, cut) candidate is formed in the IEEE
 operation order of the per-node formula, with +inf for cuts between equal
@@ -399,19 +399,20 @@ def fit_ensemble(ds: Dataset, cfg: PseudoLabelConfig) -> PseudoLabelEnsemble:
     """
     if np.unique(ds.labels).size < 2:
         raise ValueError("fit_ensemble needs both classes in the training set")
-    Xt = np.ascontiguousarray(ds.features.T)
-    # rank[j, i] is row i's place in column j's stable sort, so sorting a tree's
+    # rank[i, j] is row i's place in column j's stable sort, so sorting a tree's
     # rows by rank gives the tree's own stable sort, because its rows ascend.
-    rank = np.empty(Xt.shape, dtype=np.intp)
-    np.put_along_axis(rank, np.argsort(Xt, axis=1, kind="stable"), np.arange(ds.n), axis=1)
+    # One column at a time keeps the sort's index temporary to one column.
+    rank = np.empty(ds.features.shape, dtype=np.intp)
+    for j, column in enumerate(ds.features.T):
+        rank[np.argsort(column, kind="stable"), j] = np.arange(ds.n)
     trees, block = [], []
     for rows, cols in _tree_draws(ds.n, ds.d, cfg):
         block.append((rows, cols))
         if (len(block) + 1) * rows.size > _BLOCK_ROWS:
-            trees += _grow_subsamples(Xt, rank, ds.labels, block, cfg)
+            trees += _grow_subsamples(ds.features, rank, ds.labels, block, cfg)
             block = []
     if block:
-        trees += _grow_subsamples(Xt, rank, ds.labels, block, cfg)
+        trees += _grow_subsamples(ds.features, rank, ds.labels, block, cfg)
     return PseudoLabelEnsemble(trees, cfg)
 
 
@@ -430,14 +431,14 @@ def _tree_draws(n: int, d: int, cfg: PseudoLabelConfig):
             yield rows[np.sort(pick)], cols
 
 
-def _grow_subsamples(Xt, rank, y, block, cfg: PseudoLabelConfig) -> list:
-    """The trees of one block of equal-shape (rows, cols) draws from the (d, N) training matrix ``Xt``."""
+def _grow_subsamples(X, rank, y, block, cfg: PseudoLabelConfig) -> list:
+    """The trees of one block of equal-shape (rows, cols) draws from the training matrix ``X``."""
     rows = np.stack([r for r, _ in block])
     cols = np.stack([c for _, c in block])
     (b, n), d = rows.shape, cols.shape[1]
-    at = (cols[:, :, None], rows[:, None, :])  # (b, d, n): tree i's column j, row r
+    at = (rows[:, None, :], cols[:, :, None])  # (b, d, n): tree i's row r of column j
     # Ranks within a column are distinct, so any sort of them is the stable one.
     order = np.argsort(rank[at], axis=2) + (np.arange(b) * n)[:, None, None]
     order = order.transpose(1, 0, 2).reshape(d, b * n)
-    values = Xt[at].transpose(1, 0, 2).reshape(d, b * n)
+    values = X[at].transpose(1, 0, 2).reshape(d, b * n)
     return _grow(values, y[rows].ravel(), order, cols, cfg.max_depth, cfg.min_leaf)
