@@ -75,9 +75,16 @@ DEFAULTS = {
 
 # The ranges of the keys that no config dataclass owns: (test, wording).
 _RANGES = {
+    "latent.components": (lambda v: v is None or v >= 1, "null or >= 1"),
+    "latent.sigma": (lambda v: v > 0, "> 0"),
+    "metrics.taus": (lambda v: all(0.0 < t <= 1.0 for t in v), "a list of values in (0, 1]"),
+    "metrics.ef_fractions": (lambda v: all(0.0 < t <= 1.0 for t in v), "a list of values in (0, 1]"),
     "stability.trials": (lambda v: v >= 2, ">= 2"),
     "stability.subsample_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "loo.clusters": (lambda v: v >= 1, ">= 1"),
+    "synth.n_id": (lambda v: v >= 10, ">= 10"),
+    "synth.n_ood": (lambda v: v >= 10, ">= 10"),
+    "synth.d": (lambda v: v >= 2, ">= 2"),
 }
 
 
@@ -187,6 +194,8 @@ def resolve_config(config_path, args) -> dict:
     """DEFAULTS overlaid with the config file, then with the flags; every value is checked alike.
 
     This runs before any data file is read, so a bad value costs no work.
+    The ``pseudo`` and ``net`` ranges are those of the config dataclasses,
+    checked by building them; the rest are in ``_RANGES``.
     """
     cfg = _merge_config(load_config(config_path), _flag_overrides(args))
     if cfg["method"] not in METHODS:
@@ -200,6 +209,13 @@ def resolve_config(config_path, args) -> dict:
         section, key = where.split(".")
         if not ok(cfg[section][key]):
             raise ConfigError(f"config key {where!r} must be {wording}, got {cfg[section][key]!r}")
+    for section, cls in (("pseudo", PseudoLabelConfig), ("net", NetConfig)):
+        try:
+            cls(**cfg[section])
+        except ValueError as exc:
+            # Every message of the dataclasses' checks starts with the field's name.
+            name, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"config key '{section}.{name}' {rest}") from None
     return cfg
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,21 @@ def _check_finite(X: np.ndarray) -> None:
     if not np.all(np.isfinite(X)):
         bad = np.argwhere(~np.isfinite(X))[0]
         raise DatasetError(f"non-finite feature at row {bad[0]}, column {bad[1]}")
+
+
+def is_int(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a bool or a float is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_int_fields(obj) -> None:
+    """Check that each field of the frozen dataclass ``obj`` annotated ``int`` holds an integer, and store it as int."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type in ("int", int):
+            if not is_int(v):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            object.__setattr__(obj, f.name, int(v))
 
 
 class Dataset:

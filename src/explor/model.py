@@ -8,7 +8,9 @@ match pseudo-labeler j, not the true labels: the objective is
 where match is mean binary cross-entropy between head logits and the hard
 pseudo-labels, mean_abs is the l1 gap between the mean head probability and
 the mean pseudo-label per point, and Ex(D) is the radial expansion of the
-batch, which supplies matching targets outside the training shell.
+batch, which supplies matching targets outside the training shell. That is
+the ``full`` loss mode; ``_TERMS`` is the one definition of it and of its
+ablations, each a list of terms on D and one term on Ex(D).
 
 One loop, ``_fit_net``, trains the net in both settings: ``train`` matches
 the labelers on raw and expanded batches, and the ERM baseline
@@ -31,12 +33,20 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_int_fields, is_int
 from .latent import LatentMap, check_rows, encode, expand_with, fit_pca
 from .pseudolabel import PseudoLabelConfig, PseudoLabelEnsemble, fit_ensemble
 from .seeding import derive_seed, generator
 
-LOSS_MODES = ("full", "match_only", "mean_only", "single_head")
+# The one definition of the loss modes: each mode's terms on the raw batch,
+# then its one term on the expanded batch, as ``_term`` kinds.
+_TERMS = {
+    "full": (("match", "mean_abs"), "match"),
+    "match_only": (("match",), "match"),
+    "mean_only": (("prob_bce",), "prob_bce"),
+    "single_head": (("match",), "match"),
+}
+LOSS_MODES = tuple(_TERMS)
 
 # The parts each method's bundle must carry; ``score`` averages whichever are present.
 METHOD_PARTS = {"explor": ("ensemble", "net"), "erm": ("net",), "pl_ens": ("ensemble",)}
@@ -109,9 +119,10 @@ class NetConfig:
     snapshot_interval: int = 2500
 
     def __post_init__(self):
+        check_int_fields(self)
+        if not self.hidden or not all(is_int(h) and h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden must be nonempty positive integer widths, got {self.hidden}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden must be nonempty positive widths, got {self.hidden}")
         if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.iterations >= 0:
@@ -130,8 +141,8 @@ class ExplorNet:
     """ELU trunk with K independent logistic heads, stored as plain arrays."""
 
     def __init__(self, input_dim: int, hidden, heads: int, seed: int = 0):
-        if input_dim < 1 or heads < 1 or any(h < 1 for h in hidden):
-            raise ValueError(f"need input_dim, heads and hidden widths >= 1, got {input_dim}, {heads}, {list(hidden)}")
+        if not all(is_int(v) and v >= 1 for v in (input_dim, heads, *hidden)):
+            raise ValueError(f"need integer input_dim, heads and hidden widths >= 1, got {input_dim}, {heads}, {list(hidden)}")
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.heads = int(heads)
@@ -205,17 +216,12 @@ class ExplorNet:
         for k, spec in params.items():
             want = net.params[k]
             data = np.array(spec["data"], dtype=np.float64)
-            if tuple(spec["shape"]) != want.shape or data.shape != (want.size,):
+            if tuple(spec["shape"]) != want.shape or not all(map(is_int, spec["shape"])) or data.shape != (want.size,):
                 raise ValueError(f"net param {k!r} has shape {spec['shape']} and {data.size} values, expected {list(want.shape)}")
             if not np.all(np.isfinite(data)):
                 raise ValueError(f"net param {k!r} has non-finite values")
             net.params[k] = data.reshape(want.shape)
         return net
-
-
-def _prob_bce(p, q):
-    pc = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
-    return -(q * np.log(pc) + (1.0 - q) * np.log1p(-pc))
 
 
 def loss_terms(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig):
@@ -228,18 +234,16 @@ def loss_terms(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig):
     return total, parts
 
 
-def _match_loss(logits, probs, targets):
-    """(mean BCE of each head against its labeler, dL/dlogits); probs = sigmoid(logits)."""
-    b, k = logits.shape
-    return float(bce_logits(logits, targets).mean()), (probs - targets) / (b * k)
+def _term(kind, logits, probs, targets):
+    """(value, dL/dlogits) of one loss term on a batch; probs = sigmoid(logits).
 
-
-def _gap_loss(probs, targets, kind):
-    """(loss, dL/dlogits) of the per-row gap between mean head probability and mean target.
-
-    ``kind`` "mean_abs" takes |p - q|, "prob_bce" the BCE of p against q.
+    ``match`` is the mean BCE of each head against its target column. The
+    others compare, per row, the mean head probability p with the mean
+    target q: ``mean_abs`` by |p - q|, ``prob_bce`` by the BCE of p against q.
     """
-    b, k = probs.shape
+    b, k = logits.shape
+    if kind == "match":
+        return float(bce_logits(logits, targets).mean()), (probs - targets) / (b * k)
     p = probs.mean(axis=1)
     q = targets.mean(axis=1)
     if kind == "mean_abs":
@@ -247,59 +251,42 @@ def _gap_loss(probs, targets, kind):
     else:
         inside = (p > _PROB_EPS) & (p < 1.0 - _PROB_EPS)
         pc = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
-        value, dp = _prob_bce(p, q).mean(), np.where(inside, (pc - q) / (pc * (1.0 - pc)), 0.0)
+        value = (-(q * np.log(pc) + (1.0 - q) * np.log1p(-pc))).mean()
+        dp = np.where(inside, (pc - q) / (pc * (1.0 - pc)), 0.0)
     return float(value), dp[:, None] * (probs * (1.0 - probs)) / (b * k)
 
 
-def _batch_loss(logits, targets, mean_only):
-    """(loss value, dL/dlogits) of one batch: head matching, or the gap BCE if ``mean_only``."""
+def _batch(net: ExplorNet, Z, targets, kinds, single_head):
+    """(term values in ``kinds`` order, their summed dL/dlogits, forward cache) of one batch."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if single_head:
+        targets = targets.mean(axis=1, keepdims=True)
+    logits, cache = net.forward(Z)
     probs = sigmoid(logits)
-    if mean_only:
-        return _gap_loss(probs, targets, "prob_bce")
-    return _match_loss(logits, probs, targets)
+    values, ds = zip(*(_term(kind, logits, probs, targets) for kind in kinds))
+    # Summed in ``kinds`` order, so full's gradient is d_match + d_mean.
+    return values, sum(ds[1:], ds[0]), cache
 
 
 def loss_and_grads(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig, want_grads=True):
     """Loss total, the (match, mean, expand) parts and the parameter gradients (None unless ``want_grads``)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    mode = cfg.loss_mode
-    if mode == "single_head" and net.heads != 1:
+    raw_kinds, exp_kind = _TERMS[cfg.loss_mode]
+    single_head = cfg.loss_mode == "single_head"
+    if single_head and net.heads != 1:
         raise ValueError("single_head loss requires a one-head network")
-    if mode == "single_head":
-        targets = targets.mean(axis=1, keepdims=True)
-
-    logits, cache = net.forward(Z)
-    mean_only = mode == "mean_only"
-    if mode == "full":
-        probs = sigmoid(logits)
-        match_val, d_match = _match_loss(logits, probs, targets)
-        mean_val, d_mean = _gap_loss(probs, targets, "mean_abs")
-        dlogits = d_match + d_mean
-    else:
-        value, dlogits = _batch_loss(logits, targets, mean_only)
-        match_val, mean_val = (0.0, value) if mean_only else (value, 0.0)
-
-    expand_val = 0.0
-    exp_pack = None
+    values, dlogits, cache = _batch(net, Z, targets, raw_kinds, single_head)
+    parts = {"match": 0.0, "mean": 0.0, "expand": 0.0}
+    for kind, value in zip(raw_kinds, values):
+        parts["match" if kind == "match" else "mean"] = value
     if Z_exp is not None:
-        Z_exp = np.asarray(Z_exp, dtype=np.float64)
-        targets_exp = np.asarray(targets_exp, dtype=np.float64)
-        if mode == "single_head":
-            targets_exp = targets_exp.mean(axis=1, keepdims=True)
-        logits_exp, cache_exp = net.forward(Z_exp)
-        expand_val, d_exp = _batch_loss(logits_exp, targets_exp, mean_only)
-        exp_pack = (cache_exp, d_exp)
-
-    total = match_val + mean_val + cfg.lambda_expand * expand_val
-    parts = {"match": match_val, "mean": mean_val, "expand": expand_val}
+        (parts["expand"],), d_exp, cache_exp = _batch(net, Z_exp, targets_exp, (exp_kind,), single_head)
+    total = parts["match"] + parts["mean"] + cfg.lambda_expand * parts["expand"]
     if not want_grads:
         return total, parts, None
 
     grads = net.zero_grads()
     net.backward(cache, dlogits, grads)
-    if exp_pack is not None and cfg.lambda_expand != 0.0:
-        cache_exp, d_exp = exp_pack
+    if Z_exp is not None and cfg.lambda_expand != 0.0:
         net.backward(cache_exp, cfg.lambda_expand * d_exp, grads)
     return total, parts, grads
 
@@ -340,23 +327,14 @@ class Adam:
             self.net.params[name] -= t
 
 
-class _BatchStream:
-    """Without-replacement batches from a reshuffled epoch permutation."""
-
-    def __init__(self, n: int, batch_size: int, seed: int):
-        self.n = n
-        self.b = min(batch_size, n)
-        self.rng = generator(seed)
-        self.perm = self.rng.permutation(n)
-        self.pos = 0
-
-    def next(self) -> np.ndarray:
-        if self.pos + self.b > self.n:
-            self.perm = self.rng.permutation(self.n)
-            self.pos = 0
-        out = self.perm[self.pos : self.pos + self.b]
-        self.pos += self.b
-        return out
+def _batches(n: int, batch_size: int, seed: int):
+    """Without-replacement batches from a reshuffled epoch permutation, without end."""
+    b = min(batch_size, n)
+    rng = generator(seed)
+    while True:
+        perm = rng.permutation(n)
+        for pos in range(0, n - b + 1, b):
+            yield perm[pos : pos + b]
 
 
 def _check_finite(arrays: dict, what: str, trace) -> None:
@@ -470,11 +448,10 @@ def _fit_net(Z, targets, heads: int, cfg: NetConfig, expansion=None, snapshot_in
     """
     net = ExplorNet(Z.shape[1], cfg.hidden, heads, seed=cfg.seed)
     opt = Adam(net, cfg)
-    stream = _BatchStream(len(Z), cfg.batch_size, derive_seed(cfg.seed, "batches"))
+    batches = _batches(len(Z), cfg.batch_size, derive_seed(cfg.seed, "batches"))
     trace = []
     snapshots = []
-    for it in range(1, cfg.iterations + 1):
-        idx = stream.next()
+    for it, idx in zip(range(1, cfg.iterations + 1), batches):
         Zx, Gx = (None, None) if expansion is None else expansion(idx)
         total, parts, grads = loss_and_grads(net, Z[idx], targets[idx], Zx, Gx, cfg)
         _check_finite(grads, "gradient in", None)

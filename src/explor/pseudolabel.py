@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, SubsampleSpec, subsample_indices
+from .data import Dataset, SubsampleSpec, check_int_fields, subsample_indices
 from .seeding import derive_seed, generator
 
 
@@ -66,6 +66,7 @@ class PseudoLabelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if not self.k >= 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.max_depth >= 0:
@@ -82,6 +83,18 @@ class PseudoLabelConfig:
             raise ValueError(f"decision_threshold must be in [0, 1], got {self.decision_threshold}")
 
 
+def _node_ints(values, name: str) -> np.ndarray:
+    """A tree's node ints as int32; a float, a bool or an int outside int32 is an error, never truncated."""
+    a = np.asarray(values)
+    bools = not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, values))
+    if a.size and (a.dtype.kind not in "iu" or bools):
+        raise ValueError(f"tree {name} entries must be integers")
+    out = a.astype(np.int32)
+    if not (out == a).all():
+        raise ValueError(f"tree {name} entries must be integers that fit in int32")
+    return out
+
+
 class Tree:
     """A CART tree as flat node arrays with explicit child indices.
 
@@ -92,10 +105,10 @@ class Tree:
     """
 
     def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int32)
+        self.feature = _node_ints(feature, "feature")
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
+        self.left = _node_ints(left, "left")
+        self.right = _node_ints(right, "right")
         self.value = np.asarray(value, dtype=np.float64)
         n = self.feature.size
         arrays = (self.feature, self.threshold, self.left, self.right, self.value)

@@ -267,6 +267,16 @@ class TestRangesBeforeAnyWork:
         ("stability", ["--trials", "1"], "stability.trials"),
         ("loo", ["--clusters", "0"], "loo.clusters"),
         ("fit", ["--clusters", "-1"], "loo.clusters"),
+        ("loo", ["--taus", "2"], "metrics.taus"),
+        ("loo", ["--ef-fractions", "0"], "metrics.ef_fractions"),
+        ("ablate", ["--axis", "loss_mode", "--taus", "0.1,0"], "metrics.taus"),
+        ("fit", ["--sigma", "0"], "latent.sigma"),
+        ("fit", ["--components", "0"], "latent.components"),
+        ("fit", ["--k", "0"], "pseudo.k"),
+        ("fit", ["--instance-fraction", "1.5"], "pseudo.instance_fraction"),
+        ("fit", ["--batch-size", "0"], "net.batch_size"),
+        ("fit", ["--hidden", "8,0"], "net.hidden"),
+        ("synth", ["--n-id", "3"], "synth.n_id"),
     ])
     def test_flag_exits_one_naming_its_key(self, workdir, capsys, command, argv, key):
         tmp_path, cfg_path = workdir
@@ -275,6 +285,8 @@ class TestRangesBeforeAnyWork:
             "stability": ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "ood_test.csv")],
             "loo": ["--data", str(tmp_path / "train.csv")],
             "fit": ["--train", str(tmp_path / "train.csv")],
+            "ablate": ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "ood_test.csv")],
+            "synth": [],
         }[command]
         capsys.readouterr()
         start = time.perf_counter()
@@ -468,9 +480,15 @@ class TestMalformedBundle:
     @pytest.mark.parametrize("breakage", [
         "no_latent_map", "no_trunk_w", "no_params", "not_an_object", "no_net", "tree_child_out_of_range",
         "labeler_threshold_differs", "latent_mean_too_short", "latent_component_nan", "latent_variance_too_short",
+        # An integer field holding a float or a bool, which was truncated or raised a TypeError.
+        "config_k_float", "config_trees_per_labeler_bool", "config_min_leaf_float", "net_heads_float",
+        "net_hidden_float", "net_input_dim_float", "net_param_shape_float", "net_config_batch_size_float",
+        "tree_feature_float", "tree_left_bool",
     ])
     def test_predict_exits_one_without_traceback(self, workdir, capsys, breakage):
         tmp_path, base, doc = self.fitted(workdir)
+        config, net = doc["ensemble"]["config"], doc["net"]
+        tree = next(t for lab in doc["ensemble"]["labelers"] for t in lab["trees"] if t["feature"][0] >= 0)
         if breakage == "no_latent_map":
             del doc["latent_map"]
         elif breakage == "no_trunk_w":
@@ -480,8 +498,6 @@ class TestMalformedBundle:
         elif breakage == "not_an_object":
             doc = [doc]
         elif breakage == "tree_child_out_of_range":
-            trees = [t for lab in doc["ensemble"]["labelers"] for t in lab["trees"]]
-            tree = next(t for t in trees if t["feature"][0] >= 0)
             tree["left"][0] = -1
         elif breakage == "labeler_threshold_differs":
             doc["ensemble"]["labelers"][0]["decision_threshold"] = 0.9
@@ -492,6 +508,28 @@ class TestMalformedBundle:
             doc["latent_map"]["components"][0][0] = float("nan")
         elif breakage == "latent_variance_too_short":
             doc["latent_map"]["explained_variance"] = doc["latent_map"]["explained_variance"][:1]
+        elif breakage == "config_k_float":
+            config["k"] = float(config["k"])
+        elif breakage == "config_trees_per_labeler_bool":
+            config["trees_per_labeler"] = True
+        elif breakage == "config_min_leaf_float":
+            config["min_leaf"] = 2.5
+        elif breakage == "net_heads_float":
+            net["heads"] += 0.5
+        elif breakage == "net_hidden_float":
+            net["hidden"] = [h + 0.9 for h in net["hidden"]]
+        elif breakage == "net_input_dim_float":
+            net["input_dim"] = float(net["input_dim"])
+        elif breakage == "net_param_shape_float":
+            net["params"]["heads.w"]["shape"] = [float(s) for s in net["params"]["heads.w"]["shape"]]
+        elif breakage == "net_config_batch_size_float":
+            doc["net_config"]["batch_size"] = 16.0
+        elif breakage == "tree_feature_float":
+            tree["feature"][0] += 0.7
+        elif breakage == "tree_left_bool":
+            # A preorder root's left child is node 1, which True would pass for.
+            assert tree["left"][0] == 1
+            tree["left"][0] = True
         else:
             doc["net"] = None
         (tmp_path / "broken.json").write_text(json.dumps(doc))

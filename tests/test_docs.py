@@ -1,7 +1,8 @@
 """The README's config block, the demos and the package exports stay true to the code.
 
 The README lists every config key with its default in a ``jsonc`` block;
-with the ``//`` comments stripped it must equal ``cli.DEFAULTS``. Every
+with the ``//`` comments stripped it must equal ``cli.DEFAULTS``, and the
+comments on ``method`` and ``loss_mode`` list their choices in order. Every
 script in ``demos/`` must run to completion and remove its temp files.
 Every name in ``explor.__all__`` must exist on the package, and every
 ``explor`` command in the README's ``sh`` blocks must parse.
@@ -18,21 +19,33 @@ from pathlib import Path
 import pytest
 
 import explor
-from explor.cli import DEFAULTS, build_parser
+from explor.cli import DEFAULTS, METHODS, build_parser
+from explor.model import LOSS_MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def readme_config() -> dict:
+def readme_config_block() -> str:
     text = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```jsonc\n(.*?)```", text, flags=re.S)
     assert len(blocks) == 1, "expected exactly one jsonc block in the README"
-    return json.loads(re.sub(r"//[^\n]*", "", blocks[0]))
+    return blocks[0]
+
+
+def readme_config() -> dict:
+    return json.loads(re.sub(r"//[^\n]*", "", readme_config_block()))
 
 
 def test_readme_config_block_is_defaults():
     assert readme_config() == DEFAULTS
+
+
+@pytest.mark.parametrize("key,choices", [("method", METHODS), ("loss_mode", LOSS_MODES)])
+def test_readme_lists_every_choice_in_order(key, choices):
+    comments = re.findall(rf'^\s*"{key}":[^\n]*//([^\n]*)$', readme_config_block(), flags=re.M)
+    assert len(comments) == 1, f"expected one commented {key!r} line in the config block"
+    assert [c.strip() for c in comments[0].split("|")] == list(choices)
 
 
 def readme_commands() -> list:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from explor.data import Dataset, make_synthetic_radial
 from explor.latent import encode, fit_pca
 from explor.model import (
+    LOSS_MODES,
     Adam,
     ExplorNet,
     NetConfig,
@@ -38,7 +39,7 @@ from explor.model import (
     train_erm,
     train_pl_ens,
 )
-from explor.pseudolabel import PseudoLabelConfig, fit_ensemble
+from explor.pseudolabel import PseudoLabelConfig, Tree, fit_ensemble
 
 
 # ---------------------------------------------------------------- oracles
@@ -309,6 +310,42 @@ def test_single_head_needs_one_head_net():
     G = np.zeros((2, 2))
     with pytest.raises(ValueError, match="one-head"):
         loss_and_grads(net, Z, G, None, None, cfg)
+
+
+def oracle_parts(net, Z, G, Zx, Gx, mode):
+    """(match, mean, expand) of ``mode`` from the paper's formulas, written out per mode."""
+    if mode == "single_head":
+        G, Gx = G.mean(axis=1, keepdims=True), Gx.mean(axis=1, keepdims=True)
+
+    def match(Z, G):
+        return bce_logits(net.logits(Z), G).mean()
+
+    def gap(Z, G, bce):
+        p, q = sigmoid(net.logits(Z)).mean(axis=1), G.mean(axis=1)
+        return (-(q * np.log(p) + (1.0 - q) * np.log1p(-p))).mean() if bce else np.abs(p - q).mean()
+
+    if mode == "mean_only":
+        return 0.0, gap(Z, G, True), gap(Zx, Gx, True)
+    return match(Z, G), gap(Z, G, False) if mode == "full" else 0.0, match(Zx, Gx)
+
+
+@pytest.mark.parametrize("mode", LOSS_MODES)
+def test_parts_of_every_mode(mode):
+    """Each mode reports the parts its terms compute, exactly 0.0 for the rest, and totals them."""
+    rng = np.random.default_rng(31)
+    net, Z, G, Zx, Gx = random_problem(rng, 1 if mode == "single_head" else 3)
+    cfg = NetConfig(hidden=net.hidden, lambda_expand=0.7, loss_mode=mode, seed=0)
+    total, parts, _ = loss_and_grads(net, Z, G, Zx, Gx, cfg)
+    assert loss_terms(net, Z, G, Zx, Gx, cfg) == (total, parts)
+    assert total == parts["match"] + parts["mean"] + 0.7 * parts["expand"]
+    want = oracle_parts(net, Z, G, Zx, Gx, mode)
+    for name, oracle in zip(("match", "mean", "expand"), want):
+        value = parts[name]
+        assert type(value) is float
+        if oracle == 0.0:
+            assert value == 0.0, name
+        else:
+            assert value > 0.0 and abs(value - oracle) <= 1e-12 * oracle, name
 
 
 # ------------------------------------------------------------------- adam
@@ -753,6 +790,8 @@ class TestNetConfigValidation:
         {"batch_size": float("nan")},
         {"iterations": float("nan")},
         {"snapshot_interval": float("nan")},
+        {"iterations": True},
+        {"hidden": (8, True)},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -760,3 +799,27 @@ class TestNetConfigValidation:
 
     def test_zero_iterations_allowed(self):
         assert NetConfig(iterations=0).iterations == 0
+
+
+def stump(**over):
+    """A valid one-split tree's node arrays, with ``over`` replacing some of them."""
+    return dict({"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.5, 0.0, 1.0]}, **over)
+
+
+class TestIntegerFields:
+    """An integer field takes a Python or numpy int; a float or a bool is an error, never truncated."""
+
+    @pytest.mark.parametrize("cls,kw", [
+        (ExplorNet, {"input_dim": 3, "hidden": (4, False), "heads": 2}),
+        (Tree, stump(right=np.array([2.0, -1.0, -1.0]))),
+        (Tree, stump(feature=[2**32, -1, -1])),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_rejects(self, cls, kw):
+        with pytest.raises(ValueError, match="integer"):
+            cls(**kw)
+
+    def test_numpy_ints_are_stored_as_ints(self):
+        net_cfg = NetConfig(batch_size=np.int64(16), hidden=(np.int32(8),))
+        pl_cfg = PseudoLabelConfig(k=np.uint8(3))
+        assert (type(net_cfg.batch_size), type(net_cfg.hidden[0]), type(pl_cfg.k)) == (int, int, int)
+        assert Tree(**stump(feature=np.array([0, -1, -1], dtype=np.int64))).feature.dtype == np.int32
