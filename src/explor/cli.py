@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as me
-from .data import Dataset, DatasetError, SubsampleSpec, _format_float, load_csv, load_features, make_synthetic_radial, save_csv, subsample
+from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, _format_float, load_csv, load_features, make_synthetic_radial, same_kind, save_csv, subsample
 from .latent import fit_pca
 from .model import (
     LOSS_MODES,
@@ -73,14 +73,23 @@ DEFAULTS = {
 }
 
 
-# The ranges of the keys that no config dataclass owns: (test, wording).
+# The range of every key: (test, wording). The ``pseudo`` and ``net`` ranges
+# are the config dataclasses' own declarations.
 _RANGES = {
+    "method": (lambda v: v in METHODS, f"one of {METHODS}"),
     "latent.components": (lambda v: v is None or v >= 1, "null or >= 1"),
     "latent.sigma": (lambda v: v > 0, "> 0"),
+    **{
+        f"{section}.{f.name}": f.metadata["range"]
+        for section, cls in (("pseudo", PseudoLabelConfig), ("net", NetConfig))
+        for f in fields(cls)
+        if "range" in f.metadata
+    },
     "metrics.taus": (lambda v: all(0.0 < t <= 1.0 for t in v), "a list of values in (0, 1]"),
     "metrics.ef_fractions": (lambda v: all(0.0 < t <= 1.0 for t in v), "a list of values in (0, 1]"),
     "stability.trials": (lambda v: v >= 2, ">= 2"),
-    "stability.subsample_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "stability.subsample_fraction": FRACTION,
+    "stability.methods": (lambda v: len(v) >= 1 and all(m in METHODS for m in v), f"a nonempty list of methods from {METHODS}"),
     "loo.clusters": (lambda v: v >= 1, ">= 1"),
     "synth.n_id": (lambda v: v >= 10, ">= 10"),
     "synth.n_ood": (lambda v: v >= 10, ">= 10"),
@@ -90,18 +99,6 @@ _RANGES = {
 
 # For each key whose default is null, a value of the kind it may take instead.
 _NULL_KINDS = {"group_column": "", "latent.components": 0}
-
-
-def _same_kind(default, val) -> bool:
-    """Whether ``val`` may replace ``default``: a float takes an int but no bool, and must be finite."""
-    if isinstance(default, list):
-        return isinstance(val, list) and all(_same_kind(default[0], v) for v in val)
-    if isinstance(val, bool) != isinstance(default, bool):
-        return False
-    if isinstance(default, float):
-        # NaN fails the comparison, and so does an int too large for a double.
-        return isinstance(val, (int, float)) and abs(val) <= sys.float_info.max
-    return isinstance(val, type(default))
 
 
 def _merge_config(base: dict, override: dict, path: str = "", schema: dict = DEFAULTS) -> dict:
@@ -116,9 +113,9 @@ def _merge_config(base: dict, override: dict, path: str = "", schema: dict = DEF
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
             out[key] = _merge_config(base[key], val, where, default)
-        elif default is None and not (val is None or _same_kind(_NULL_KINDS[where], val)):
+        elif default is None and not (val is None or same_kind(_NULL_KINDS[where], val)):
             raise ConfigError(f"config key {where!r} must be null or of type {type(_NULL_KINDS[where]).__name__}, got {val!r}")
-        elif default is not None and not _same_kind(default, val):
+        elif default is not None and not same_kind(default, val):
             raise ConfigError(f"config key {where!r} must be of the same type as its default {default!r}, got {val!r}")
         else:
             out[key] = val
@@ -190,32 +187,24 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return doc
 
 
+def _check_range(cfg: dict, where: str) -> None:
+    """Check the value at dotted key ``where`` of ``cfg`` against its ``_RANGES`` entry."""
+    ok, wording = _RANGES[where]
+    section, _, key = where.rpartition(".")
+    val = (cfg[section] if section else cfg)[key]
+    if not ok(val):
+        raise ConfigError(f"config key {where!r} must be {wording}, got {val!r}")
+
+
 def resolve_config(config_path, args) -> dict:
     """DEFAULTS overlaid with the config file, then with the flags; every value is checked alike.
 
-    This runs before any data file is read, so a bad value costs no work.
-    The ``pseudo`` and ``net`` ranges are those of the config dataclasses,
-    checked by building them; the rest are in ``_RANGES``.
+    This runs before any data file is read, so a bad value costs no work:
+    ``_merge_config`` checks each value's kind and ``_RANGES`` its range.
     """
     cfg = _merge_config(load_config(config_path), _flag_overrides(args))
-    if cfg["method"] not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {cfg['method']!r}")
-    if not cfg["stability"]["methods"]:
-        raise ConfigError("config key 'stability.methods' must name at least one method")
-    for m in cfg["stability"]["methods"]:
-        if m not in METHODS:
-            raise ConfigError(f"stability method must be one of {METHODS}, got {m!r}")
-    for where, (ok, wording) in _RANGES.items():
-        section, key = where.split(".")
-        if not ok(cfg[section][key]):
-            raise ConfigError(f"config key {where!r} must be {wording}, got {cfg[section][key]!r}")
-    for section, cls in (("pseudo", PseudoLabelConfig), ("net", NetConfig)):
-        try:
-            cls(**cfg[section])
-        except ValueError as exc:
-            # Every message of the dataclasses' checks starts with the field's name.
-            name, _, rest = str(exc).partition(" ")
-            raise ConfigError(f"config key '{section}.{name}' {rest}") from None
+    for where in _RANGES:
+        _check_range(cfg, where)
     return cfg
 
 
@@ -352,8 +341,7 @@ def run_stability(
     """
     stab = cfg["stability"]
     methods, trials, fraction = stab["methods"], stab["trials"], stab["subsample_fraction"]
-    if trials < 2:
-        raise ConfigError(f"stability needs at least 2 trials, got {trials}")
+    _check_range(cfg, "stability.trials")
     seed = cfg["seed"]
     if subsample_seeds is None:
         subsample_seeds = [derive_seed(seed, "stability_subsample", t) for t in range(trials)]

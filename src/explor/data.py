@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,14 +37,46 @@ def is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def check_int_fields(obj) -> None:
-    """Check that each field of the frozen dataclass ``obj`` annotated ``int`` holds an integer, and store it as int."""
+def same_kind(default, v) -> bool:
+    """Whether ``v`` may stand in a field whose default is ``default``: an int field takes a Python or
+    numpy int, never a bool or a float; a float field a finite int or float, Python or numpy, never a
+    bool; a list or tuple field items of its first item's kind; any other field its default's type."""
+    if isinstance(default, (list, tuple)):
+        return isinstance(v, (list, tuple)) and all(same_kind(default[0], x) for x in v)
+    if isinstance(default, float):
+        if isinstance(v, (float, np.floating)):
+            return math.isfinite(v)
+        # An int too large for a double fails the comparison.
+        return is_int(v) and abs(int(v)) <= sys.float_info.max
+    if is_int(default):
+        return is_int(v)
+    return isinstance(v, type(default))
+
+
+def ranged(default, test, wording: str):
+    """A dataclass field with ``default`` whose values must pass ``test``, which ``wording`` states."""
+    return field(default=default, metadata={"range": (test, wording)})
+
+
+def check_fields(obj) -> None:
+    """Check each field of the frozen dataclass ``obj`` for its default's kind, then for its declared range.
+
+    Ints are stored as ``int``, numpy floats as ``float`` and sequences as tuples.
+    """
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if f.type in ("int", int):
-            if not is_int(v):
-                raise ValueError(f"{f.name} must be an integer, got {v!r}")
-            object.__setattr__(obj, f.name, int(v))
+        if not same_kind(f.default, v):
+            raise ValueError(f"{f.name} must be of the kind of its default {f.default!r}, got {v!r}")
+        if isinstance(v, (list, tuple)):
+            v = tuple(int(x) if is_int(x) else x for x in v)
+        elif is_int(v):
+            v = int(v)
+        elif isinstance(v, np.floating):
+            v = float(v)  # json cannot write a numpy float32
+        test, wording = f.metadata.get("range", (None, None))
+        if test is not None and not test(v):
+            raise ValueError(f"{f.name} must be {wording}, got {v!r}")
+        object.__setattr__(obj, f.name, v)
 
 
 class Dataset:
@@ -121,6 +154,10 @@ class Dataset:
         return f"Dataset(n={self.n}, d={self.d}{g})"
 
 
+# The range of every fraction of rows or columns.
+FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
 @dataclass(frozen=True)
 class SubsampleSpec:
     """Without-replacement subsampling fractions and the seed that drives them.
@@ -129,15 +166,12 @@ class SubsampleSpec:
     one column always survive.
     """
 
-    instance_fraction: float = 0.632
-    feature_fraction: float = 0.5
+    instance_fraction: float = ranged(0.632, *FRACTION)
+    feature_fraction: float = ranged(0.5, *FRACTION)
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.instance_fraction <= 1.0):
-            raise ValueError(f"instance_fraction must be in (0, 1], got {self.instance_fraction}")
-        if not (0.0 < self.feature_fraction <= 1.0):
-            raise ValueError(f"feature_fraction must be in (0, 1], got {self.feature_fraction}")
+        check_fields(self)
 
 
 def subsample(ds: Dataset, spec: SubsampleSpec):

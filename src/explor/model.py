@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, check_int_fields, is_int
+from .data import Dataset, check_fields, is_int, ranged, same_kind
 from .latent import LatentMap, check_rows, encode, expand_with, fit_pca
 from .pseudolabel import PseudoLabelConfig, PseudoLabelEnsemble, fit_ensemble
 from .seeding import derive_seed, generator
@@ -105,36 +105,21 @@ def bce_logits(z: np.ndarray, target: np.ndarray) -> np.ndarray:
 class NetConfig:
     """Architecture and optimization settings for the matching network."""
 
-    hidden: tuple = (512, 512)
-    lambda_expand: float = 0.5
-    batch_size: int = 256
-    iterations: int = 10000
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    hidden: tuple = ranged((512, 512), lambda v: len(v) >= 1 and all(h >= 1 for h in v), "a nonempty list of widths >= 1")
+    lambda_expand: float = ranged(0.5, lambda v: v >= 0, ">= 0")
+    batch_size: int = ranged(256, lambda v: v >= 1, ">= 1")
+    iterations: int = ranged(10000, lambda v: v >= 0, ">= 0")
+    learning_rate: float = ranged(1e-3, lambda v: v > 0, "> 0")
+    beta1: float = ranged(0.9, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    beta2: float = ranged(0.999, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    eps: float = ranged(1e-8, lambda v: v > 0, "> 0")
     seed: int = 0
     redraw_expansion_each_batch: bool = True
-    loss_mode: str = "full"
-    snapshot_interval: int = 2500
+    loss_mode: str = ranged("full", lambda v: v in LOSS_MODES, f"one of {LOSS_MODES}")
+    snapshot_interval: int = ranged(2500, lambda v: v >= 1, ">= 1")
 
     def __post_init__(self):
-        check_int_fields(self)
-        if not self.hidden or not all(is_int(h) and h >= 1 for h in self.hidden):
-            raise ValueError(f"hidden must be nonempty positive integer widths, got {self.hidden}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if not self.batch_size >= 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.iterations >= 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.lambda_expand >= 0:
-            raise ValueError(f"lambda_expand must be >= 0, got {self.lambda_expand}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if not self.snapshot_interval >= 1:
-            raise ValueError(f"snapshot_interval must be >= 1, got {self.snapshot_interval}")
+        check_fields(self)
 
 
 class ExplorNet:
@@ -392,6 +377,11 @@ class TrainedBundle:
             components=np.array(doc["latent_map"]["components"], dtype=np.float64),
             explained_variance=np.array(doc["latent_map"]["explained_variance"], dtype=np.float64),
         )
+        sigma, trace = doc["sigma"], doc["trace"]
+        if not (same_kind(0.0, sigma) and sigma >= 0):
+            raise ValueError(f"bundle sigma must be a finite number >= 0, got {sigma!r}")
+        if not (same_kind([[0.0]], trace) and all(len(t) == 3 for t in trace)):
+            raise ValueError("bundle trace must be a list of [match, mean, expand] triples of finite numbers")
         ensemble = None if doc["ensemble"] is None else PseudoLabelEnsemble.from_dict(doc["ensemble"])
         net = None if doc["net"] is None else ExplorNet.from_dict(doc["net"])
         if net is not None and net.input_dim != lm.s:
@@ -404,8 +394,8 @@ class TrainedBundle:
             ensemble=ensemble,
             net=net,
             net_config=None if doc["net_config"] is None else NetConfig(**doc["net_config"]),
-            sigma=doc["sigma"],
-            trace=[tuple(t) for t in doc["trace"]],
+            sigma=sigma,
+            trace=[tuple(t) for t in trace],
         )
 
 

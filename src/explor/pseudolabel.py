@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, SubsampleSpec, check_int_fields, subsample_indices
+from .data import FRACTION, Dataset, SubsampleSpec, check_fields, ranged, subsample_indices
 from .seeding import derive_seed, generator
 
 
@@ -56,31 +56,17 @@ class PseudoLabelConfig:
     a majority-vote forest per labeler.
     """
 
-    k: int = 64
-    max_depth: int = 6
-    min_leaf: int = 2
-    instance_fraction: float = 0.632
-    feature_fraction: float = 0.5
-    trees_per_labeler: int = 1
-    decision_threshold: float = 0.5
+    k: int = ranged(64, lambda v: v >= 1, ">= 1")
+    max_depth: int = ranged(6, lambda v: v >= 0, ">= 0")
+    min_leaf: int = ranged(2, lambda v: v >= 1, ">= 1")
+    instance_fraction: float = ranged(0.632, *FRACTION)
+    feature_fraction: float = ranged(0.5, *FRACTION)
+    trees_per_labeler: int = ranged(1, lambda v: v >= 1, ">= 1")
+    decision_threshold: float = ranged(0.5, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
-        if not self.k >= 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.max_depth >= 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if not self.min_leaf >= 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if not self.trees_per_labeler >= 1:
-            raise ValueError(f"trees_per_labeler must be >= 1, got {self.trees_per_labeler}")
-        if not (0.0 < self.instance_fraction <= 1.0):
-            raise ValueError(f"instance_fraction must be in (0, 1], got {self.instance_fraction}")
-        if not (0.0 < self.feature_fraction <= 1.0):
-            raise ValueError(f"feature_fraction must be in (0, 1], got {self.feature_fraction}")
-        if not (0.0 <= self.decision_threshold <= 1.0):
-            raise ValueError(f"decision_threshold must be in [0, 1], got {self.decision_threshold}")
+        check_fields(self)
 
 
 def _node_ints(values, name: str) -> np.ndarray:

@@ -15,6 +15,8 @@ from explor.cli import (
     FLAG_MAP,
     ConfigError,
     DEFAULTS,
+    _NULL_KINDS,
+    _RANGES,
     _merge_config,
     build_parser,
     load_config,
@@ -297,6 +299,38 @@ class TestRangesBeforeAnyWork:
         assert elapsed < 1.0
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("beta1", 5.0), ("beta1", 1.0), ("beta2", 1.0), ("beta2", -3.0), ("eps", -1.0), ("eps", 0.0),
+    ])
+    def test_adam_constant_in_config_file_exits_one(self, workdir, capsys, key, value):
+        """An Adam constant out of range is a config error, not a fit that diverges or succeeds."""
+        tmp_path, _ = workdir
+        cfg = tmp_path / "adam.json"
+        cfg.write_text(json.dumps(tiny_cfg(net={key: value})))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg), "--output-dir", str(out)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1 and f"config key 'net.{key}'" in err and "Traceback" not in err
+        assert elapsed < 1.0
+        assert not out.exists()
+
+    def test_every_numeric_key_has_a_range(self):
+        """A numeric key cannot ship without a range decision; ``seed`` takes any integer."""
+
+        def numeric(path, section):
+            for key, default in section.items():
+                where = f"{path}.{key}" if path else key
+                kind = _NULL_KINDS.get(where, default)
+                if isinstance(kind, dict):
+                    yield from numeric(where, kind)
+                elif isinstance(kind, (int, float, list)) and not isinstance(kind, bool) and where != "seed":
+                    yield where
+
+        assert sorted(set(numeric("", DEFAULTS)) - set(_RANGES)) == []
+
     def test_empty_methods_in_config_file_exits_one(self, workdir, capsys):
         tmp_path, _ = workdir
         cfg = tmp_path / "empty.json"
@@ -554,6 +588,27 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert code == 1
         assert "broken.json: malformed bundle" in err and "latent width" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        # Every threshold true, so the labelers agree with the config and only the kind rule can object.
+        ("decision_threshold", True),
+        ("sigma", True), ("sigma", "abc"), ("sigma", -4.0),
+        ("trace", "xyz"), ("trace", [[1]]), ("trace", [["a", "b", "c"]]),
+    ])
+    def test_pl_ens_field_of_wrong_kind_exits_one(self, workdir, capsys, key, value):
+        tmp_path, base, doc = self.fitted(workdir, "--method", "pl_ens")
+        if key == "decision_threshold":
+            doc["ensemble"]["config"][key] = value
+            for lab in doc["ensemble"]["labelers"]:
+                lab[key] = value
+        else:
+            doc[key] = value
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--bundle", str(tmp_path / "broken.json"), "--data", str(tmp_path / "ood_test.csv"), *base])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "malformed bundle" in err and key in err and "Traceback" not in err
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_tree_threshold_exits_one(self, workdir, capsys, literal):

@@ -1,6 +1,7 @@
 """Dataset construction, CSV round-trips, subsampling, synthetic benchmark."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from explor.data import (
     load_csv,
     load_features,
     make_synthetic_radial,
+    same_kind,
     save_csv,
     subsample,
 )
@@ -235,6 +237,26 @@ class TestSubsample:
             SubsampleSpec(0.0, 0.5, seed=0)
         with pytest.raises(ValueError):
             SubsampleSpec(0.5, 1.2, seed=0)
+        with pytest.raises(ValueError):
+            SubsampleSpec(instance_fraction=True)
+
+
+class TestSameKind:
+    """The one kind rule of config fields, config keys and bundle fields."""
+
+    @pytest.mark.parametrize("default,value,want", [
+        (0, np.int64(3), True), (0, np.uint8(3), True), (0, 3.0, False), (0, True, False), (0, np.True_, False),
+        (0.5, 1, True), (0.5, np.float32(0.25), True), (0.5, np.int32(2), True),
+        (0.5, True, False), (0.5, np.True_, False), (0.5, "0.5", False),
+        (0.5, float("nan"), False), (0.5, np.float32("inf"), False), (0.5, 10**400, False),
+        ((8,), [4, np.int32(2)], True), ((8,), (4, 2.0), False), ((8,), 8, False),
+        ([[0.0]], [[1, 2.5]], True), ([[0.0]], [["a"]], False), ([[0.0]], "xyz", False),
+        (True, False, True), (True, 1, False), ("full", "x", True), ("full", 3, False),
+    ])
+    def test_table(self, default, value, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_kind(default, value) is want
 
 
 class TestSyntheticRadial:

@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -792,10 +793,25 @@ class TestNetConfigValidation:
         {"snapshot_interval": float("nan")},
         {"iterations": True},
         {"hidden": (8, True)},
+        {"learning_rate": True},
+        {"lambda_expand": False},
+        {"learning_rate": float("inf")},
+        {"redraw_expansion_each_batch": 3},
+        {"beta1": 1.0},
+        {"beta2": -3.0},
+        {"eps": 0.0},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             NetConfig(**kw)
+
+    def test_numpy_floats_are_stored_as_floats(self):
+        """A numpy float32 would reach the bundle's JSON, which cannot write it."""
+        net_cfg = NetConfig(learning_rate=np.float32(0.5), eps=np.float64(1e-6))
+        pl_cfg = PseudoLabelConfig(decision_threshold=np.float32(0.25))
+        assert (type(net_cfg.learning_rate), type(net_cfg.eps), type(pl_cfg.decision_threshold)) == (float, float, float)
+        assert (net_cfg.learning_rate, pl_cfg.decision_threshold) == (0.5, 0.25)
+        json.dumps([asdict(net_cfg), asdict(pl_cfg)])
 
     def test_zero_iterations_allowed(self):
         assert NetConfig(iterations=0).iterations == 0

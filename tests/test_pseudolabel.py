@@ -418,6 +418,7 @@ NAN = float("nan")
     {"instance_fraction": 0.0}, {"instance_fraction": NAN},
     {"feature_fraction": 1.5}, {"feature_fraction": NAN},
     {"decision_threshold": -0.1}, {"decision_threshold": 1.5}, {"decision_threshold": NAN},
+    {"decision_threshold": True}, {"instance_fraction": True}, {"decision_threshold": np.True_},
 ])
 def test_config_rejects(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
