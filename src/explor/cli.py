@@ -12,14 +12,16 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import fields
+from operator import itemgetter
 
 import numpy as np
 
 from . import metrics as me
-from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, _format_float, load_csv, load_features, make_synthetic_radial, same_kind, save_csv, subsample
+from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, line_chunks, load_csv, load_features, make_synthetic_radial, same_kind, save_csv, subsample, write_csv
 from .latent import fit_pca
 from .model import (
     LOSS_MODES,
@@ -212,13 +214,6 @@ def _load_dataset(cfg: dict, path: str) -> Dataset:
     return load_csv(path, label_column=cfg["label_column"], group_column=cfg["group_column"])
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _train_bundle(cfg: dict, ds: Dataset, base_seed: int | None = None) -> TrainedBundle:
     """Train cfg['method'] on ds with streams derived from the base seed."""
     seed = cfg["seed"] if base_seed is None else base_seed
@@ -248,11 +243,8 @@ def cmd_fit(cfg: dict, train_path: str, out_dir: str) -> dict:
     bundle = _train_bundle(cfg, ds)
     paths = {"bundle": f"{out_dir}/bundle.json", "trace": f"{out_dir}/trace.csv"}
     save_bundle(bundle, paths["bundle"])
-    _write_csv(
-        paths["trace"],
-        ["iteration", "match", "mean", "expand"],
-        ([str(i), _format_float(a), _format_float(b), _format_float(c)] for i, (a, b, c) in enumerate(bundle.trace)),
-    )
+    trace = np.array(bundle.trace, dtype=np.float64).reshape(-1, 3)
+    write_csv(paths["trace"], ["iteration", "match", "mean", "expand"], [np.arange(len(trace)), trace])
     last = bundle.trace[-1] if bundle.trace else (0.0, 0.0, 0.0)
     print(
         f"fit {cfg['method']} on {ds.n} rows (latent {bundle.latent_map.s}); "
@@ -268,40 +260,79 @@ def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, inclu
     scores, columns = score(bundle, X)
     width = columns.shape[1] if include_heads else 0
     header = ["index", "score"] + [f"head_{j}" for j in range(width)]
-
-    def rows():
-        for i in range(len(X)):
-            yield [str(i), _format_float(scores[i])] + [_format_float(v) for v in columns[i, :width]]
-
+    # Head columns are written as floats, the 0/1 votes of a bundle with no net too.
+    heads = columns[:, :width].astype(np.float64, copy=False)
     paths = {"predictions": f"{out_dir}/predictions.csv"}
-    _write_csv(paths["predictions"], header, rows())
+    write_csv(paths["predictions"], header, [np.arange(len(X)), scores, heads])
     print(f"wrote {paths['predictions']} ({len(X)} rows)")
     return paths
 
 
 def _read_predictions(path: str, n: int) -> np.ndarray:
+    """The n finite scores of a predictions file, one for each dataset row.
+
+    The lines are parsed a chunk at a time (:func:`_parse_score_chunks`); a
+    file that path declines is read again from line 2 by the per-line loop
+    (:func:`_parse_score_lines`), whose errors name the line.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["index", "score"]:
             raise ConfigError(f"{path}: expected header starting with index,score")
         scores = np.full(n, np.nan)
-        count = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            try:
-                i = int(parts[0])
-                s = float(parts[1])
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}: line {lineno}: bad row {line!r}") from None
-            if not 0 <= i < n:
-                raise ConfigError(f"{path}: line {lineno}: index {i} out of range for {n} rows")
-            scores[i] = s
-            count += 1
+        count = _parse_score_chunks(fh, scores)
+        if count is None:
+            fh.seek(0)
+            fh.readline()
+            scores.fill(np.nan)
+            count = _parse_score_lines(path, fh, scores)
     if count != n or np.isnan(scores).any():
         raise ConfigError(f"{path}: expected exactly one score per dataset row (0..{n - 1})")
     return scores
+
+
+def _parse_score_chunks(fh, scores: np.ndarray) -> int | None:
+    """Fill ``scores`` from the lines left in ``fh`` and count them, or return None to decline.
+
+    The path declines on a line with no second field (a blank line is one),
+    an index ``int()`` rejects or out of range, or a score ``float()``
+    rejects or that is not finite.
+    """
+    count = 0
+    for lines in line_chunks(fh):
+        rows = [line.split(",", 2) for line in lines]
+        try:
+            idx = np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, len(rows))
+            vals = np.array(list(map(itemgetter(1), rows)), dtype=np.float64)
+        except (ValueError, IndexError, OverflowError):
+            return None
+        if not (np.all((idx >= 0) & (idx < len(scores))) and np.isfinite(vals).all()):
+            return None
+        scores[idx] = vals
+        count += len(rows)
+    return count
+
+
+def _parse_score_lines(path: str, fh, scores: np.ndarray) -> int:
+    """Fill ``scores`` from the lines left in ``fh``, one at a time, and count them."""
+    n = len(scores)
+    count = 0
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        try:
+            i = int(parts[0])
+            s = float(parts[1])
+        except (ValueError, IndexError):
+            raise ConfigError(f"{path}: line {lineno}: bad row {line!r}") from None
+        if not 0 <= i < n:
+            raise ConfigError(f"{path}: line {lineno}: index {i} out of range for {n} rows")
+        if not math.isfinite(s):
+            raise ConfigError(f"{path}: line {lineno}: score {s!r} is not finite")
+        scores[i] = s
+        count += 1
+    return count
 
 
 def cmd_eval(cfg: dict, predictions_path: str, data_path: str, out_dir: str, write_pr: bool = True) -> dict:
@@ -314,11 +345,7 @@ def cmd_eval(cfg: dict, predictions_path: str, data_path: str, out_dir: str, wri
     if write_pr:
         recall, precision = me.pr_curve(scored)
         paths["pr_curve"] = f"{out_dir}/pr_curve.csv"
-        _write_csv(
-            paths["pr_curve"],
-            ["recall", "precision"],
-            ([_format_float(r), _format_float(p)] for r, p in zip(recall, precision)),
-        )
+        write_csv(paths["pr_curve"], ["recall", "precision"], [recall, precision])
     shown = " ".join(f"auprc@{t:g}={report.auprc_at[float(t)]:.4f}" for t in cfg["metrics"]["taus"])
     print(f"{shown} auprc={report.auprc:.4f} auroc={report.auroc:.4f}")
     return paths
@@ -389,11 +416,7 @@ def cmd_stability(cfg: dict, train_path: str, test_path: str, out_dir: str) -> d
         matrix = block["matrix"]
         score_path = f"{out_dir}/stability_scores_{method}.csv"
         paths[f"scores_{method}"] = score_path
-        _write_csv(
-            score_path,
-            ["trial"] + [f"i{j}" for j in range(matrix.shape[1])],
-            ([str(t)] + [_format_float(v) for v in matrix[t]] for t in range(matrix.shape[0])),
-        )
+        write_csv(score_path, ["trial"] + [f"i{j}" for j in range(matrix.shape[1])], [np.arange(len(matrix)), matrix])
         print(f"{method}: mean variance {block['mean_variance']:.6f} over {result['trials']} trials")
     write_json(paths["report"], doc)
     return paths
@@ -424,14 +447,11 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
     paths = {"report": f"{out_dir}/loo.json", "folds": f"{out_dir}/folds.csv"}
     write_json(paths["report"], doc)
 
-    def fold_rows():
-        for j, (train_idx, test_idx) in enumerate(folds):
-            role = np.full(ds.n, "train", dtype=object)
-            role[test_idx] = "test"
-            for i in range(ds.n):
-                yield [str(i), str(j), role[i]]
-
-    _write_csv(paths["folds"], ["index", "fold", "role"], fold_rows())
+    test = np.zeros((len(folds), ds.n), dtype=bool)
+    for j, (_, test_idx) in enumerate(folds):
+        test[j, test_idx] = True
+    columns = [np.tile(np.arange(ds.n), len(folds)), np.repeat(np.arange(len(folds)), ds.n), np.where(test.ravel(), "test", "train")]
+    write_csv(paths["folds"], ["index", "fold", "role"], columns)
     print(f"summary: auprc={summary['auprc']:.4f} auroc={summary['auroc']:.4f}")
     return paths
 
@@ -469,15 +489,16 @@ def cmd_ablate(cfg: dict, train_path: str, test_path: str, axis: str, out_dir: s
     test_ds = _load_dataset(cfg, test_path)
     taus = cfg["metrics"]["taus"]
     header = ["variant"] + [f"auprc@{t:g}" for t in taus] + ["auprc", "auroc"]
-    rows = []
+    names, rows = [], []
     for name, vcfg in _ablate_variants(cfg, axis):
         scores = predict(_train_bundle(vcfg, train_ds), test_ds.features)
         scored = me.ScoredSet(scores, test_ds.labels)
         vals = [me.auprc_truncated(scored, t) for t in taus] + [me.auprc(scored), me.auroc(scored)]
-        rows.append([name] + [_format_float(v) for v in vals])
+        names.append(name)
+        rows.append(vals)
         print(f"{name}: " + " ".join(f"{h}={v:.4f}" for h, v in zip(header[1:], vals)))
     paths = {"table": f"{out_dir}/ablation.csv"}
-    _write_csv(paths["table"], header, rows)
+    write_csv(paths["table"], header, [np.array(names), np.array(rows, dtype=np.float64)])
     return paths
 
 

@@ -8,9 +8,11 @@ explicit seeds; calling twice with the same seed yields identical results.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,9 +23,8 @@ class DatasetError(ValueError):
     """Malformed dataset input (parse failures, bad labels, empty files)."""
 
 
-def _format_float(x: float) -> str:
-    # repr() is the shortest string that round-trips the exact double.
-    return repr(float(x))
+# CSV files are read and written this many lines at a time.
+CSV_CHUNK = 1024
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -220,7 +221,12 @@ def load_features(path, label_column: str = "label", group_column: str | None = 
 
 
 def _read_csv(path, label_column, group_column, label_required):
-    """(features, labels or None, groups or None, feature names) of a headed CSV file."""
+    """(features, labels or None, groups or None, feature names) of a headed CSV file.
+
+    The data lines are parsed a chunk at a time (:func:`_parse_chunks`). A file
+    that path declines is read again from line 2 by the per-cell loop
+    (:func:`_parse_records`), whose errors name the line and column.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -244,50 +250,132 @@ def _read_csv(path, label_column, group_column, label_required):
         feat_idx = [i for i in range(len(header)) if i != label_idx and i != group_idx]
         if not feat_idx:
             raise DatasetError(f"{path}: no feature columns")
-        rows, labels, groups = [], [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
-                continue
-            if len(rec) != len(header):
-                raise DatasetError(f"{path}: line {lineno} has {len(rec)} fields, expected {len(header)}")
-            if label_idx is not None:
-                raw = rec[label_idx].strip().lower()
-                if raw in ("0", "1"):
-                    labels.append(int(raw))
-                elif raw in ("true", "false"):
-                    labels.append(1 if raw == "true" else 0)
-                else:
-                    raise DatasetError(
-                        f"{path}: line {lineno}, column {label_column!r}: label {rec[label_idx]!r} not in 0/1/true/false"
-                    )
+        parsed = _parse_chunks(fh, len(header), feat_idx, label_idx, group_idx)
+        if parsed is None:
+            fh.seek(0)
+            next(reader)
+            parsed = _parse_records(path, reader, header, feat_idx, label_idx, group_idx)
+    if len(parsed[0]) == 0:
+        raise DatasetError(f"{path}: no data rows")
+    return (*parsed, [header[i] for i in feat_idx])
+
+
+def line_chunks(fh):
+    """Lists of the next at most ``CSV_CHUNK`` lines of the text file ``fh``, until it ends."""
+    while lines := list(itertools.islice(fh, CSV_CHUNK)):
+        yield lines
+
+
+def _parse_chunks(fh, width, feat_idx, label_idx, group_idx):
+    """(features, labels or None, groups or None) of the lines left in ``fh``, or None to decline.
+
+    Each chunk is split on commas and its features parsed at once by
+    ``np.array(cells, dtype=np.float64)``, which calls ``float()`` on each
+    cell as the loop does. Only plain input passes: the path declines on a
+    quote, CR or NUL, a cell longer than ``csv`` reads, a row of another
+    width, a feature ``float()`` rejects (so a blank line), a label other
+    than exactly ``0`` or ``1``, or a group id ``int()`` rejects.
+    """
+    features = itemgetter(*feat_idx)
+    limit = csv.field_size_limit()
+    X, labels, groups = [], [], []
+    for lines in line_chunks(fh):
+        text = "".join(lines)
+        if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
+            return None
+        rows = [line.split(",") for line in text.removesuffix("\n").split("\n")]
+        if set(map(len, rows)) != {width}:
+            return None
+        m = len(rows)
+        try:
+            X.append(np.array(list(map(features, rows)), dtype=np.float64).reshape(m, len(feat_idx)))
             if group_idx is not None:
-                try:
-                    groups.append(int(rec[group_idx]))
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: line {lineno}, column {group_column!r}: bad group id {rec[group_idx]!r}"
-                    ) from None
-            vals = []
-            for i in feat_idx:
-                try:
-                    vals.append(float(rec[i]))
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: line {lineno}, column {header[i]!r}: not a number: {rec[i]!r}"
-                    ) from None
-            rows.append(vals)
-        if not rows:
-            raise DatasetError(f"{path}: no data rows")
+                groups.append(np.fromiter(map(int, map(itemgetter(group_idx), rows)), np.int64, m))
+        except (ValueError, OverflowError):
+            return None
+        if label_idx is not None:
+            cells = list(map(itemgetter(label_idx), rows))
+            if not set(cells) <= {"0", "1"}:
+                return None
+            labels.append(np.fromiter(map(int, cells), np.int64, m))
+    if not X:
+        return None  # no data lines: the loop finds none either, and says so
+    return (
+        np.concatenate(X),
+        np.concatenate(labels) if label_idx is not None else None,
+        np.concatenate(groups) if group_idx is not None else None,
+    )
+
+
+def _parse_records(path, reader, header, feat_idx, label_idx, group_idx):
+    """(features, labels or None, groups or None) of the records left in ``reader``, one cell at a time."""
+    label_column = None if label_idx is None else header[label_idx]
+    group_column = None if group_idx is None else header[group_idx]
+    rows, labels, groups = [], [], []
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec or (len(rec) == 1 and rec[0].strip() == ""):
+            continue
+        if len(rec) != len(header):
+            raise DatasetError(f"{path}: line {lineno} has {len(rec)} fields, expected {len(header)}")
+        if label_idx is not None:
+            raw = rec[label_idx].strip().lower()
+            if raw in ("0", "1"):
+                labels.append(int(raw))
+            elif raw in ("true", "false"):
+                labels.append(1 if raw == "true" else 0)
+            else:
+                raise DatasetError(
+                    f"{path}: line {lineno}, column {label_column!r}: label {rec[label_idx]!r} not in 0/1/true/false"
+                )
+        if group_idx is not None:
+            try:
+                groups.append(int(rec[group_idx]))
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: line {lineno}, column {group_column!r}: bad group id {rec[group_idx]!r}"
+                ) from None
+        vals = []
+        for i in feat_idx:
+            try:
+                vals.append(float(rec[i]))
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: line {lineno}, column {header[i]!r}: not a number: {rec[i]!r}"
+                ) from None
+        rows.append(vals)
     return (
         np.array(rows, dtype=np.float64),
         np.array(labels, dtype=np.int64) if label_idx is not None else None,
         np.array(groups, dtype=np.int64) if group_idx is not None else None,
-        [header[i] for i in feat_idx],
     )
 
 
+def write_csv(path, header, columns) -> None:
+    """Write a headed CSV file whose columns are ``columns``, ``CSV_CHUNK`` rows at a time.
+
+    Each array in ``columns`` is (N,) for one column or (N, k) for k, so
+    (N, 0) for none. The header goes through ``csv.writer``, so a name that needs quotes gets
+    them. A cell is ``str`` of its ``tolist()`` item: a float is its repr,
+    the shortest string that round-trips the exact double, so load/save
+    round-trips bit-exactly; an int is its digits.
+    """
+    columns = [c for c in map(np.asarray, columns) if c.ndim == 1 or c.shape[1]]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(columns[0]), CSV_CHUNK):
+            cells = [_cells(c[lo : lo + CSV_CHUNK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cells(block: np.ndarray) -> list:
+    """One string per row of ``block``: its cell, or its cells joined by commas."""
+    if block.ndim == 1:
+        return list(map(str, block.tolist()))
+    return [",".join(map(str, row)) for row in block.tolist()]
+
+
 def save_csv(ds: Dataset, path, label_column: str = "label", group_column: str = "group") -> None:
-    """Write a Dataset as CSV. Floats use repr, so load/save round-trips bit-exactly."""
+    """Write a Dataset as CSV, features then the label then any group id; :func:`load_csv` reads it back bit-exactly."""
     names = ds.feature_names or [f"x{j}" for j in range(ds.d)]
     header = list(names) + [label_column] + ([group_column] if ds.group is not None else [])
     # load_csv strips header names and rejects a label or group column named twice.
@@ -295,15 +383,7 @@ def save_csv(ds: Dataset, path, label_column: str = "label", group_column: str =
     for name in stripped[len(names):]:
         if stripped.count(name) > 1:
             raise DatasetError(f"{path}: column {name!r} would appear {stripped.count(name)} times in header {header}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [_format_float(v) for v in ds.features[i]]
-            row.append(str(int(ds.labels[i])))
-            if ds.group is not None:
-                row.append(str(int(ds.group[i])))
-            writer.writerow(row)
+    write_csv(path, header, [ds.features, ds.labels] + ([] if ds.group is None else [ds.group]))
 
 
 def make_synthetic_radial(n_id: int, n_ood: int, d: int, seed: int):

@@ -23,12 +23,15 @@ start at zero, so an untrained net outputs probability 0.5 on every head and
 the bagged predictor degrades to (ensemble_mean + 0.5) / 2.
 
 Everything is float64 numpy; with a fixed seed, training is reproducible
-bit-for-bit (single fixed reduction order, no threading in the Python layer).
+bit-for-bit (single fixed reduction order, one Python thread). Scoring runs
+its fixed blocks on threads, each writing only its own rows, so its bytes do
+not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -57,6 +60,11 @@ _PROB_EPS = 1e-12  # clamp for log() in the probability-space loss
 # so BLAS always picks the same kernel and a row's bytes never depend on its
 # neighbours; it also bounds the activations held at once.
 _SCORE_BLOCK = 256
+# ``score`` runs its blocks on at most this many threads: numpy's matrix
+# products and ufuncs release the interpreter lock, so they overlap. Each
+# thread holds one block's activations (about 4 MiB at the default 512x512
+# width), so the cap also bounds the memory of scoring.
+_SCORE_WORKERS = 3
 
 
 class TrainingDivergence(RuntimeError):
@@ -399,11 +407,47 @@ class TrainedBundle:
         )
 
 
+# The bytes of ``json.dump(doc, sort_keys=True, separators=(",", ":"))``.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# ``write_json`` encodes lists of scalars this many items at a time.
+_JSON_SLICE = 4096
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` as deterministic JSON: sorted keys, no spaces, repr floats, one trailing newline."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        _write_json_value(fh, doc)
         fh.write("\n")
+
+
+def _write_json_value(fh, value) -> None:
+    """Write ``value`` as ``_JSON`` encodes it, through its C encoder a slice at a time.
+
+    ``json.dump`` runs the pure-Python encoder, and one ``json.dumps`` of a
+    whole bundle holds all of its text at once. So dicts with ``str`` keys
+    and lists that hold containers are walked here, and every other value
+    goes to ``_JSON.encode``, each list of scalars in slices of at most
+    ``_JSON_SLICE`` items.
+    """
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," if i else "") + _JSON.encode(key) + ":")
+            _write_json_value(fh, value[key])
+        fh.write("}")
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
+        fh.write("[")
+        for i, item in enumerate(value):
+            if i:
+                fh.write(",")
+            _write_json_value(fh, item)
+        fh.write("]")
+    elif isinstance(value, (list, tuple)) and len(value) > _JSON_SLICE:
+        for lo in range(0, len(value), _JSON_SLICE):
+            fh.write(("," if lo else "[") + _JSON.encode(value[lo : lo + _JSON_SLICE])[1:-1])
+        fh.write("]")
+    else:
+        fh.write(_JSON.encode(value))
 
 
 def save_bundle(bundle: TrainedBundle, path) -> None:
@@ -548,8 +592,12 @@ def score(bundle: TrainedBundle, X):
     last one zero-padded: each block is encoded, run through the net, then
     the labelers, and only its real rows are kept. So a row's bytes do not
     depend on the rows scored with it, and memory beyond X and the outputs
-    stays flat in N. The score is the mean head probability, the labeler
-    vote fraction, or their average (h + g) / 2 when the bundle has both.
+    stays flat in N. The blocks run on one thread per CPU the process may
+    use, at most ``_SCORE_WORKERS``, or inline when one would do. Each
+    writes only its own rows of the outputs, so the bytes do not depend on
+    the thread count, and memory holds about one block per thread. The
+    score is the mean head probability, the labeler vote fraction, or their
+    average (h + g) / 2 when the bundle has both.
     The columns are the (N, K) head probabilities, or the 0/1 votes of a
     bundle with no net.
     """
@@ -559,11 +607,12 @@ def score(bundle: TrainedBundle, X):
     net, ens = bundle.net, bundle.ensemble
     scores = np.empty(n)
     columns = np.empty((n, ens.k), dtype=np.int64) if net is None else np.empty((n, net.heads))
-    pad = np.zeros((_SCORE_BLOCK, X.shape[1]))
-    for start in range(0, n, _SCORE_BLOCK):
+
+    def run(start):
         block = X[start : start + _SCORE_BLOCK]
         m = len(block)
         if m < _SCORE_BLOCK:
+            pad = np.zeros((_SCORE_BLOCK, X.shape[1]))
             pad[:m] = block
             block = pad
         Z = encode(bundle.latent_map, block)
@@ -572,7 +621,32 @@ def score(bundle: TrainedBundle, X):
             parts.append(ens.predict_matrix(Z))
         scores[start : start + m] = (sum(c.mean(axis=1) for c in parts) / len(parts))[:m]
         columns[start : start + m] = parts[0][:m]
+
+    starts = range(0, n, _SCORE_BLOCK)
+    workers = min(_cpu_count(), len(starts), _SCORE_WORKERS)
+    if workers <= 1:
+        for start in starts:
+            run(start)
+        return scores, columns
+    # Imported here, so a process that never scores on threads does not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for future in [pool.submit(run, start) for start in starts]:
+            future.result()
+    finally:
+        # After an error or an interrupt, blocks not yet started never start.
+        pool.shutdown(cancel_futures=True)
     return scores, columns
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def predict(bundle: TrainedBundle, X) -> np.ndarray:

@@ -7,10 +7,14 @@ full synth/fit/predict/eval chain stays fast.
 import csv
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from explor import cli, data
 from explor.cli import (
     FLAG_MAP,
     ConfigError,
@@ -18,6 +22,7 @@ from explor.cli import (
     _NULL_KINDS,
     _RANGES,
     _merge_config,
+    _read_predictions,
     build_parser,
     load_config,
     main,
@@ -444,6 +449,48 @@ class TestFitPredictEval:
         dupe.write_text("\n".join(preds[:-1] + [preds[1]]) + "\n")  # row 0 twice
         args[2] = str(dupe)
         assert main(args) == 1
+
+    @pytest.mark.parametrize("cell,shown", [("nan", "nan"), ("inf", "inf"), ("1e999", "inf")])
+    def test_non_finite_score_names_its_line(self, workdir, capsys, cell, shown):
+        """A non-finite score exits 1 with the file and line, not as a missing row or a bare error."""
+        tmp_path, cfg_path = workdir
+        self.run_chain(tmp_path, cfg_path)
+        lines = (tmp_path / "predictions.csv").read_text().splitlines()
+        lines[7] = f"6,{cell}"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        args = ["eval", "--predictions", str(bad), "--data", str(tmp_path / "ood_test.csv"), "--config", str(cfg_path), "--output-dir", str(tmp_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 8: score {shown} is not finite\n"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from(["0", "1", "2", "-1", "+1", " 1", "1_0", "x", "", "3\n\n"]),
+                st.sampled_from(["0.5", "-0.0", "1e-300", "nan", "inf", "1e999", " 0.25 ", "1_5", "x", ""]),
+                st.sampled_from(["", ",0.5", ",1.0,0.0"]),
+            ),
+            max_size=6,
+        ),
+        chunk=st.sampled_from([1, 2, 1024]),
+    )
+    def test_chunked_predictions_read_as_the_line_loop(self, tmp_path_factory, cells, chunk):
+        """Where the chunked path of the predictions reader returns, it gives the loop's scores; else the loop's error."""
+        path = tmp_path_factory.mktemp("preds") / "p.csv"
+        path.write_text("index,score\n" + "".join(f"{i},{s}{rest}\n" for i, s, rest in cells))
+
+        def outcome():
+            try:
+                return _read_predictions(str(path), 3).tobytes()
+            except ConfigError as exc:
+                return str(exc)
+
+        with mock.patch.object(data, "CSV_CHUNK", chunk):
+            fast = outcome()
+        with mock.patch.object(cli, "_parse_score_chunks", lambda fh, scores: None):
+            assert fast == outcome()
 
     def test_missing_data_file_exit_code(self, workdir):
         tmp_path, cfg_path = workdir

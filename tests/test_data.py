@@ -2,22 +2,26 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from explor import data
 from explor.data import (
     Dataset,
     DatasetError,
     SubsampleSpec,
+    _read_csv,
     load_csv,
     load_features,
     make_synthetic_radial,
     same_kind,
     save_csv,
     subsample,
+    write_csv,
 )
 
 rng = np.random.default_rng(42)
@@ -195,6 +199,139 @@ class TestCsvRoundtrip:
         path.write_text("a,label\n")
         with pytest.raises(DatasetError, match="no data rows"):
             load_csv(path)
+
+
+def read_outcome(path, group_column, label_required):
+    """What ``_read_csv`` gives on ``path``: its arrays as bytes and the names, or the error."""
+    try:
+        X, labels, groups, names = _read_csv(path, "label", group_column, label_required)
+    except (DatasetError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    as_bytes = [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in (X, labels, groups)]
+    return as_bytes, names
+
+
+def assert_read_as_the_loop(path, group_column, label_required):
+    """Check that ``_read_csv`` gives what its per-cell loop alone gives; returns what ``_parse_chunks`` returned."""
+    calls = []
+    with mock.patch.object(data, "_parse_chunks", spy_chunks(calls)):
+        fast = read_outcome(path, group_column, label_required)
+    with mock.patch.object(data, "_parse_chunks", lambda *args: None):
+        assert fast == read_outcome(path, group_column, label_required)
+    return calls
+
+
+def spy_chunks(calls):
+    """``_parse_chunks`` recording each result in ``calls``."""
+    real = data._parse_chunks
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    return spy
+
+
+PLAIN_CELLS = {"feature": ["1.5", "-0.0", "7", "1e-300"], "label": ["0", "1"], "group": ["0", "-3", "12"]}
+# Cells that the chunked reader must parse, or decline to the loop, exactly as the loop does.
+ODD_CELLS = {
+    "feature": ["5e-324", " 2 ", "1_0", "١٢", "+.5", "1e999", "nan", "-inf", "0x10", "", "x", "1.0\x00", '"3.5"',
+                '"1,5"', "2\r"],
+    "label": [" 1", "1 ", "true", "FALSE", "1_0", "1.0", "2", "", '"1"', "0\x00"],
+    "group": ["+5", " 7 ", "1_0", "١٢", "1.5", "x", "", "99999999999999999999", '"4"', "4\r"],
+}
+
+
+class TestChunkedReader:
+    """Where the chunked path of ``_read_csv`` returns, it returns what the per-cell loop returns."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        width=st.integers(1, 3),
+        label_at=st.none() | st.integers(0, 3),
+        grouped=st.booleans(),
+        quoted_header=st.booleans(),
+        data_=st.data(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        chunk=st.sampled_from([1, 2, 3, 1024]),
+        final_newline=st.booleans(),
+    )
+    def test_chunks_read_as_the_cell_loop(self, tmp_path_factory, width, label_at, grouped, quoted_header, data_,
+                                          newline, chunk, final_newline):
+        names = ['"a\nb"' if quoted_header else "a"] + [f"x{j}" for j in range(1, width)]
+        roles = ["feature"] * width
+        if grouped:
+            names.append("g")
+            roles.append("group")
+        if label_at is not None:
+            at = min(label_at, len(names))
+            names.insert(at, "label")
+            roles.insert(at, "label")
+        # A plain file, then at most one change: an odd cell, a blank line, or a short or long row.
+        rows = [[data_.draw(st.sampled_from(PLAIN_CELLS[role])) for role in roles] for _ in range(data_.draw(st.integers(0, 5)))]
+        lines = [",".join(row) for row in rows]
+        change = data_.draw(st.sampled_from(["none", "cell", "cell", "blank", "short", "long"]) if rows else st.just("none"))
+        if change != "none":
+            at = data_.draw(st.integers(0, len(rows) - 1))
+            if change == "cell":
+                j = data_.draw(st.integers(0, len(roles) - 1))
+                rows[at][j] = data_.draw(st.sampled_from(ODD_CELLS[roles[j]]))
+                lines[at] = ",".join(rows[at])
+            elif change == "blank":
+                lines.insert(at, data_.draw(st.sampled_from(["", "  "])))
+            elif change == "short":
+                lines[at] = ",".join(rows[at][:-1])
+            else:
+                lines[at] += ",1"
+        text = newline.join([",".join(names), *lines]) + (newline if final_newline else "")
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(text.encode())
+        for label_required in (True, False):
+            with mock.patch.object(data, "CSV_CHUNK", chunk):
+                calls = assert_read_as_the_loop(path, "g" if grouped else None, label_required)
+            if change == "none" and newline == "\n" and rows and (label_at is not None or not label_required):
+                assert calls[0] is not None  # plain files take the chunked path
+
+    @pytest.mark.parametrize("role,cell", [(role, cell) for role, cells in ODD_CELLS.items() for cell in cells])
+    def test_each_odd_cell_reads_as_the_cell_loop(self, tmp_path, role, cell):
+        rows = [["1.5", "0", "12", "1"], ["-0.0", "1", "-3", "0"], ["7", "2", "0", "1"]]
+        rows[1][{"feature": 1, "group": 2, "label": 3}[role]] = cell
+        path = tmp_path / "x.csv"
+        path.write_bytes(("a,b,g,label\n" + "".join(",".join(row) + "\n" for row in rows)).encode())
+        for label_required in (True, False):
+            assert_read_as_the_loop(path, "g", label_required)
+
+    def test_plain_file_takes_the_chunked_path(self, tmp_path):
+        ds = Dataset(rng.standard_normal((3000, 4)), rng.integers(0, 2, 3000), group=rng.integers(-9, 9, 3000))
+        save_csv(ds, tmp_path / "x.csv")
+        calls = []
+        with mock.patch.object(data, "_parse_chunks", spy_chunks(calls)):
+            back = load_csv(tmp_path / "x.csv", group_column="group")
+        assert len(calls) == 1 and calls[0] is not None
+        assert back.features.tobytes() == ds.features.tobytes() and back.group.tobytes() == ds.group.tobytes()
+
+    def test_short_row_after_the_first_chunk_keeps_its_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        lines = ["a,b,label"] + [f"{i}.5,{i},{i % 2}" for i in range(6000)]
+        lines[4999] = "1.5,0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r": line 5000 has 2 fields, expected 3$"):
+            load_csv(path)
+        lines[4999] = "1.5,oops,1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r": line 5000, column 'b': not a number: 'oops'$"):
+            load_features(path)
+
+
+class TestWriteCsv:
+    def test_columns_and_chunks(self, tmp_path):
+        """Floats as repr, ints as digits, strings as they are; a quoted header; (N, 0) blocks write nothing."""
+        path = tmp_path / "x.csv"
+        n = 2 * data.CSV_CHUNK + 3
+        ints, floats = np.arange(n), np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
+        write_csv(path, ["i", "a,b", "c"], [ints, np.empty((n, 0)), floats, np.full(n, "t")])
+        want = ['i,"a,b",c'] + [f"{i},{x!r},{y!r},t" for i, (x, y) in zip(range(n), floats.tolist())]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestSubsample:

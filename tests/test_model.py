@@ -9,14 +9,17 @@ textbook update written as an independent scalar loop.
 import functools
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from explor import latent, model
 from explor.data import Dataset, make_synthetic_radial
 from explor.latent import encode, fit_pca
 from explor.model import (
@@ -582,19 +585,34 @@ class TestBlockedScore:
         method=st.sampled_from(["explor", "erm", "pl_ens"]),
         size=st.one_of(st.sampled_from([1, 3, 17, 63, 255, 256, 257, 600]), st.integers(1, 600)),
         seed=st.integers(0, 2**32 - 1),
+        cpus=st.sampled_from([1, 3]),
     )
-    @example(method="explor", size=1, seed=0)
-    @example(method="erm", size=17, seed=0)
-    def test_rows_score_as_in_the_full_library(self, method, size, seed):
-        """Any subset of the library, in any order, gets exactly the bytes its rows get in the full batch."""
+    @example(method="explor", size=1, seed=0, cpus=1)
+    @example(method="erm", size=17, seed=0, cpus=3)
+    @example(method="pl_ens", size=600, seed=0, cpus=3)
+    def test_rows_score_as_in_the_full_library(self, method, size, seed, cpus):
+        """Any subset of the library, in any order, on any number of threads, gets exactly the bytes its rows get in the full batch."""
         b, X, (full_scores, full_columns) = library_case(method)
         idx = np.random.default_rng(seed).permutation(len(X))[:size]
-        scores, columns = score(b, X[idx])
+        with mock.patch.object(model, "_cpu_count", lambda: cpus):
+            scores, columns = score(b, X[idx])
         assert scores.tobytes() == full_scores[idx].tobytes()
         assert columns.dtype == full_columns.dtype and columns.tobytes() == full_columns[idx].tobytes()
 
-    def test_peak_memory_is_flat_in_rows(self):
+    @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
+    def test_worker_count_keeps_the_bytes(self, monkeypatch, method):
+        b, X, _ = library_case(method)
+        X = np.tile(X, (3, 1))  # 1,800 rows: 8 blocks, the last one padded
+        out = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+            out[cpus] = [a.tobytes() for a in score(b, X)]
+        assert out[1] == out[3]
+
+    @pytest.mark.parametrize("cpus", [1, 64], ids=["inline", "at_the_cap"])
+    def test_peak_memory_is_flat_in_rows(self, monkeypatch, cpus):
         """20,000 rows through a 512x512, 64-head net and 64 labelers hold no (N, 512) activations."""
+        monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20000, 16))
         lm = fit_pca(X[:500], 8)
@@ -608,6 +626,30 @@ class TestBlockedScore:
             tracemalloc.stop()
         assert columns.shape == (20000, 64)
         assert peak < scores.nbytes + columns.nbytes + 16 * 2**20
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_failing_block_raises_its_error_and_cancels_the_rest(self, monkeypatch, cpus):
+        """The caller gets the block's own ValueError; blocks not yet started never start."""
+        b, X, _ = library_case("explor")
+        X = np.tile(X, (20, 1))  # 12,000 rows: 47 blocks
+        error = ValueError("block failed")
+        calls = []
+
+        def encode(lm, block):
+            calls.append(None)
+            if len(calls) == 1:
+                raise error
+            time.sleep(0.01)  # the other blocks are slow, so cancelling them shows
+            return latent.encode(lm, block)
+
+        monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(model, "encode", encode)
+        with pytest.raises(ValueError) as raised:
+            score(b, X)
+        assert raised.value is error
+        ran = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == ran < 47  # nothing runs after score returns
 
     @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
     def test_non_finite_error_names_the_row_in_x(self, method):
