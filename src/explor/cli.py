@@ -257,11 +257,12 @@ def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, inclu
     bundle = load_bundle(bundle_path)
     # Scoring needs no labels: the label column is dropped if present.
     X = load_features(data_path, label_column=cfg["label_column"], group_column=cfg["group_column"])
-    scores, columns = score(bundle, X)
-    width = columns.shape[1] if include_heads else 0
-    header = ["index", "score"] + [f"head_{j}" for j in range(width)]
-    # Head columns are written as floats, the 0/1 votes of a bundle with no net too.
-    heads = columns[:, :width].astype(np.float64, copy=False)
+    if include_heads:
+        scores, heads = score(bundle, X)
+        heads = heads.astype(np.float64, copy=False)  # a bundle with no net writes its 0/1 votes as floats too
+    else:
+        scores, heads = predict(bundle, X), np.empty((len(X), 0))  # no (N, K) columns held
+    header = ["index", "score"] + [f"head_{j}" for j in range(heads.shape[1])]
     paths = {"predictions": f"{out_dir}/predictions.csv"}
     write_csv(paths["predictions"], header, [np.arange(len(X)), scores, heads])
     print(f"wrote {paths['predictions']} ({len(X)} rows)")

@@ -601,12 +601,24 @@ def score(bundle: TrainedBundle, X):
     The columns are the (N, K) head probabilities, or the 0/1 votes of a
     bundle with no net.
     """
+    return _score(bundle, X, keep_columns=True)
+
+
+def predict(bundle: TrainedBundle, X) -> np.ndarray:
+    """The scores of :func:`score`, without holding its (N, K) columns."""
+    return _score(bundle, X, keep_columns=False)[0]
+
+
+def _score(bundle: TrainedBundle, X, keep_columns: bool):
+    """(scores, columns or None) of :func:`score`."""
     # C order gives every full block the padded block's layout, so BLAS treats them alike.
     X = np.ascontiguousarray(check_rows(bundle.latent_map, X))
     n = len(X)
     net, ens = bundle.net, bundle.ensemble
     scores = np.empty(n)
-    columns = np.empty((n, ens.k), dtype=np.int64) if net is None else np.empty((n, net.heads))
+    columns = None
+    if keep_columns:
+        columns = np.empty((n, ens.k), dtype=np.int64) if net is None else np.empty((n, net.heads))
 
     def run(start):
         block = X[start : start + _SCORE_BLOCK]
@@ -620,7 +632,8 @@ def score(bundle: TrainedBundle, X):
         if ens is not None:
             parts.append(ens.predict_matrix(Z))
         scores[start : start + m] = (sum(c.mean(axis=1) for c in parts) / len(parts))[:m]
-        columns[start : start + m] = parts[0][:m]
+        if keep_columns:
+            columns[start : start + m] = parts[0][:m]
 
     starts = range(0, n, _SCORE_BLOCK)
     workers = min(_cpu_count(), len(starts), _SCORE_WORKERS)
@@ -647,8 +660,3 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def predict(bundle: TrainedBundle, X) -> np.ndarray:
-    """Score rows of X with whatever the bundle's method deploys."""
-    return score(bundle, X)[0]
