@@ -285,7 +285,6 @@ def _read_predictions(path: str, n: int) -> np.ndarray:
         if count is None:
             fh.seek(0)
             fh.readline()
-            scores.fill(np.nan)
             count = _parse_score_lines(path, fh, scores)
     if count != n or np.isnan(scores).any():
         raise ConfigError(f"{path}: expected exactly one score per dataset row (0..{n - 1})")

@@ -60,11 +60,14 @@ _PROB_EPS = 1e-12  # clamp for log() in the probability-space loss
 # so BLAS always picks the same kernel and a row's bytes never depend on its
 # neighbours; it also bounds the activations held at once.
 _SCORE_BLOCK = 256
-# ``score`` runs its blocks on at most this many threads: numpy's matrix
-# products and ufuncs release the interpreter lock, so they overlap. Each
-# thread holds one block's activations (about 4 MiB at the default 512x512
-# width), so the cap also bounds the memory of scoring.
+# ``score`` runs its blocks on threads: numpy's matrix products and ufuncs
+# release the interpreter lock, so blocks overlap. It starts at most one
+# thread per CPU, one per ``_BLOCKS_PER_WORKER`` blocks (a thread costs its
+# start and a few MiB of buffers, which a handful of blocks does not repay),
+# and ``_SCORE_WORKERS`` in all (each holds one block's activations, about
+# 4 MiB at the default 512x512 width).
 _SCORE_WORKERS = 3
+_BLOCKS_PER_WORKER = 16
 
 
 class TrainingDivergence(RuntimeError):
@@ -593,7 +596,8 @@ def score(bundle: TrainedBundle, X):
     the labelers, and only its real rows are kept. So a row's bytes do not
     depend on the rows scored with it, and memory beyond X and the outputs
     stays flat in N. The blocks run on one thread per CPU the process may
-    use, at most ``_SCORE_WORKERS``, or inline when one would do. Each
+    use and per ``_BLOCKS_PER_WORKER`` blocks, at most ``_SCORE_WORKERS``,
+    or inline when one would do. Each
     writes only its own rows of the outputs, so the bytes do not depend on
     the thread count, and memory holds about one block per thread. The
     score is the mean head probability, the labeler vote fraction, or their
@@ -636,7 +640,7 @@ def _score(bundle: TrainedBundle, X, keep_columns: bool):
             columns[start : start + m] = parts[0][:m]
 
     starts = range(0, n, _SCORE_BLOCK)
-    workers = min(_cpu_count(), len(starts), _SCORE_WORKERS)
+    workers = min(_cpu_count(), -(-len(starts) // _BLOCKS_PER_WORKER), _SCORE_WORKERS)
     if workers <= 1:
         for start in starts:
             run(start)

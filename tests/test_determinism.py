@@ -51,7 +51,7 @@ def run_chain(out: Path, threads: int, cpus: int) -> dict:
         "latent": {"components": 4},
         "pseudo": {"k": 8, "max_depth": 4},
         "net": {"hidden": [16, 16], "iterations": 60, "batch_size": 64},
-        "synth": {"n_id": 300, "n_ood": 700, "d": 5},
+        "synth": {"n_id": 300, "n_ood": 9000, "d": 5},
     }))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)

@@ -9,10 +9,10 @@ textbook update written as an independent scalar loop.
 import functools
 import json
 import math
+import threading
 import time
 import tracemalloc
 from dataclasses import asdict
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -577,6 +577,16 @@ def library_case(method):
     return b, library.features, score(b, library.features)
 
 
+@functools.lru_cache(maxsize=None)
+def wide_case():
+    """An untrained default-width bundle (512x512 net, 64 heads, 64 labelers) and 20,000 rows to score."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((20000, 16))
+    lm = fit_pca(X[:500], 8)
+    ens = fit_ensemble(Dataset(encode(lm, X[:500]), rng.integers(0, 2, 500)), PseudoLabelConfig(k=64, seed=5))
+    return TrainedBundle(method="explor", latent_map=lm, ensemble=ens, net=ExplorNet(8, (512, 512), 64, seed=5)), X
+
+
 class TestBlockedScore:
     """``score`` runs fixed, zero-padded blocks: row-local bytes, flat memory, whole-X checks."""
 
@@ -585,39 +595,50 @@ class TestBlockedScore:
         method=st.sampled_from(["explor", "erm", "pl_ens"]),
         size=st.one_of(st.sampled_from([1, 3, 17, 63, 255, 256, 257, 600]), st.integers(1, 600)),
         seed=st.integers(0, 2**32 - 1),
-        cpus=st.sampled_from([1, 3]),
     )
-    @example(method="explor", size=1, seed=0, cpus=1)
-    @example(method="erm", size=17, seed=0, cpus=3)
-    @example(method="pl_ens", size=600, seed=0, cpus=3)
-    def test_rows_score_as_in_the_full_library(self, method, size, seed, cpus):
-        """Any subset of the library, in any order, on any number of threads, gets exactly the bytes its rows get in the full batch."""
+    @example(method="explor", size=1, seed=0)
+    @example(method="erm", size=17, seed=0)
+    def test_rows_score_as_in_the_full_library(self, method, size, seed):
+        """Any subset of the library, in any order, gets exactly the bytes its rows get in the full batch."""
         b, X, (full_scores, full_columns) = library_case(method)
         idx = np.random.default_rng(seed).permutation(len(X))[:size]
-        with mock.patch.object(model, "_cpu_count", lambda: cpus):
-            scores, columns = score(b, X[idx])
+        scores, columns = score(b, X[idx])
         assert scores.tobytes() == full_scores[idx].tobytes()
         assert columns.dtype == full_columns.dtype and columns.tobytes() == full_columns[idx].tobytes()
 
     @pytest.mark.parametrize("method", ["explor", "erm", "pl_ens"])
-    def test_worker_count_keeps_the_bytes(self, monkeypatch, method):
-        b, X, _ = library_case(method)
-        X = np.tile(X, (3, 1))  # 1,800 rows: 8 blocks, the last one padded
-        out = {}
-        for cpus in (1, 3):
-            monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
-            out[cpus] = [a.tobytes() for a in score(b, X)]
-        assert out[1] == out[3]
-
-    @pytest.mark.parametrize("cpus", [1, 64], ids=["inline", "at_the_cap"])
-    def test_peak_memory_is_flat_in_rows(self, monkeypatch, cpus):
-        """20,000 rows through a 512x512, 64-head net and 64 labelers hold no (N, 512) activations."""
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rows_score_alike_on_any_number_of_threads(self, monkeypatch, method, cpus):
+        """The library 15 times over (9,000 rows, 36 blocks, the last padded) gets the library's bytes 15 times."""
+        b, X, (full_scores, full_columns) = library_case(method)
         monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((20000, 16))
-        lm = fit_pca(X[:500], 8)
-        ens = fit_ensemble(Dataset(encode(lm, X[:500]), rng.integers(0, 2, 500)), PseudoLabelConfig(k=64, seed=5))
-        b = TrainedBundle(method="explor", latent_map=lm, ensemble=ens, net=ExplorNet(8, (512, 512), 64, seed=5))
+        scores, columns = score(b, np.tile(X, (15, 1)))
+        assert scores.tobytes() == np.tile(full_scores, 15).tobytes()
+        assert columns.tobytes() == np.tile(full_columns, (15, 1)).tobytes()
+        assert predict(b, np.tile(X, (15, 1))).tobytes() == scores.tobytes()
+
+    def test_few_blocks_run_inline(self, monkeypatch):
+        """Fewer than ``_BLOCKS_PER_WORKER`` blocks per thread start no pool: the blocks run on the caller's thread."""
+        b, X, _ = library_case("explor")
+        monkeypatch.setattr(model, "_cpu_count", lambda: 3)
+        threads = set()
+
+        def encode(lm, block):
+            threads.add(threading.get_ident())
+            return latent.encode(lm, block)
+
+        monkeypatch.setattr(model, "encode", encode)
+        score(b, np.tile(X, (6, 1)))  # 3,600 rows: 15 blocks
+        assert threads == {threading.get_ident()}
+        threads.clear()
+        score(b, np.tile(X, (15, 1)))  # 36 blocks: a pool
+        assert threads and threading.get_ident() not in threads
+
+    def test_peak_memory_is_flat_in_rows(self, monkeypatch):
+        """20,000 rows through a 512x512, 64-head net and 64 labelers hold no (N, 512) activations,
+        with as many scoring threads as the cap allows."""
+        monkeypatch.setattr(model, "_cpu_count", lambda: 64)
+        b, X = wide_case()
         tracemalloc.start()
         try:
             scores, columns = score(b, X)
@@ -626,6 +647,19 @@ class TestBlockedScore:
             tracemalloc.stop()
         assert columns.shape == (20000, 64)
         assert peak < scores.nbytes + columns.nbytes + 16 * 2**20
+
+    def test_predict_holds_no_columns(self, monkeypatch):
+        """``predict`` peaks below the 10 MB of (20,000, 64) head columns that ``score`` returns."""
+        monkeypatch.setattr(model, "_cpu_count", lambda: 1)
+        b, X = wide_case()
+        tracemalloc.start()
+        try:
+            scores = predict(b, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.tobytes() == score(b, X)[0].tobytes()
+        assert peak < 20000 * 64 * 8
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_failing_block_raises_its_error_and_cancels_the_rest(self, monkeypatch, cpus):
