@@ -24,7 +24,7 @@ class DatasetError(ValueError):
 
 
 # CSV files are read and written this many lines at a time.
-CSV_CHUNK = 1024
+CSV_CHUNK = 512
 
 
 def _check_finite(X: np.ndarray) -> None:

@@ -474,7 +474,7 @@ class TestFitPredictEval:
             ),
             max_size=6,
         ),
-        chunk=st.sampled_from([1, 2, 1024]),
+        chunk=st.sampled_from([1, 2, 512]),
     )
     def test_chunked_predictions_read_as_the_line_loop(self, tmp_path_factory, cells, chunk):
         """Where the chunked path of the predictions reader returns, it gives the loop's scores; else the loop's error."""

@@ -253,7 +253,7 @@ class TestChunkedReader:
         quoted_header=st.booleans(),
         data_=st.data(),
         newline=st.sampled_from(["\n", "\r\n"]),
-        chunk=st.sampled_from([1, 2, 3, 1024]),
+        chunk=st.sampled_from([1, 2, 3, 512]),
         final_newline=st.booleans(),
     )
     def test_chunks_read_as_the_cell_loop(self, tmp_path_factory, width, label_at, grouped, quoted_header, data_,
