@@ -450,8 +450,8 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
     test = np.zeros((len(folds), ds.n), dtype=bool)
     for j, (_, test_idx) in enumerate(folds):
         test[j, test_idx] = True
-    columns = [np.tile(np.arange(ds.n), len(folds)), np.repeat(np.arange(len(folds)), ds.n), np.where(test.ravel(), "test", "train")]
-    write_csv(paths["folds"], ["index", "fold", "role"], columns)
+    index, fold = np.tile(np.arange(ds.n), len(folds)), np.repeat(np.arange(len(folds)), ds.n)
+    write_csv(paths["folds"], ["index", "fold", "role"], [index, fold, np.where(test.ravel(), "test", "train")])
     print(f"summary: auprc={summary['auprc']:.4f} auroc={summary['auroc']:.4f}")
     return paths
 
