@@ -597,13 +597,12 @@ def score(bundle: TrainedBundle, X):
     depend on the rows scored with it, and memory beyond X and the outputs
     stays flat in N. The blocks run on one thread per CPU the process may
     use and per ``_BLOCKS_PER_WORKER`` blocks, at most ``_SCORE_WORKERS``,
-    or inline when one would do. Each
-    writes only its own rows of the outputs, so the bytes do not depend on
-    the thread count, and memory holds about one block per thread. The
-    score is the mean head probability, the labeler vote fraction, or their
-    average (h + g) / 2 when the bundle has both.
-    The columns are the (N, K) head probabilities, or the 0/1 votes of a
-    bundle with no net.
+    or inline when one would do. Each block writes only its own rows of the
+    outputs, so the bytes do not depend on the thread count, and memory
+    holds about one block per thread. The score is the mean head
+    probability, the labeler vote fraction, or their average (h + g) / 2
+    when the bundle has both. The columns are the (N, K) head
+    probabilities, or the 0/1 votes of a bundle with no net.
     """
     return _score(bundle, X, keep_columns=True)
 
