@@ -16,12 +16,11 @@ import math
 import os
 import sys
 from dataclasses import fields
-from operator import itemgetter
 
 import numpy as np
 
 from . import metrics as me
-from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, line_chunks, load_csv, load_features, make_synthetic_radial, same_kind, save_csv, subsample, write_csv
+from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, _parse_chunks, load_csv, load_features, make_synthetic_radial, same_kind, save_csv, subsample, write_csv
 from .latent import fit_pca
 from .model import (
     LOSS_MODES,
@@ -272,8 +271,10 @@ def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, inclu
 def _read_predictions(path: str, n: int) -> np.ndarray:
     """The n finite scores of a predictions file, one for each dataset row.
 
-    The lines are parsed a chunk at a time (:func:`_parse_score_chunks`); a
-    file that path declines is read again from line 2 by the per-line loop
+    The lines are parsed a chunk at a time by the dataset reader's fast path
+    (``data._parse_chunks``, reading the index as a group id and the score
+    as the one feature); a file that path declines, or whose indices or
+    scores are out of range, is read again from line 2 by the per-line loop
     (:func:`_parse_score_lines`), whose errors name the line.
     """
     with open(path) as fh:
@@ -281,36 +282,20 @@ def _read_predictions(path: str, n: int) -> np.ndarray:
         if header[:2] != ["index", "score"]:
             raise ConfigError(f"{path}: expected header starting with index,score")
         scores = np.full(n, np.nan)
-        count = _parse_score_chunks(fh, scores)
-        if count is None:
+        parsed = _parse_chunks(fh, len(header), [1], None, 0)
+        if parsed is not None:
+            vals, _, idx = parsed
+            vals = vals[:, 0]
+        if parsed is not None and np.all((idx >= 0) & (idx < n)) and np.isfinite(vals).all():
+            scores[idx] = vals
+            count = len(idx)
+        else:
             fh.seek(0)
             fh.readline()
             count = _parse_score_lines(path, fh, scores)
     if count != n or np.isnan(scores).any():
         raise ConfigError(f"{path}: expected exactly one score per dataset row (0..{n - 1})")
     return scores
-
-
-def _parse_score_chunks(fh, scores: np.ndarray) -> int | None:
-    """Fill ``scores`` from the lines left in ``fh`` and count them, or return None to decline.
-
-    The path declines on a line with no second field (a blank line is one),
-    an index ``int()`` rejects or out of range, or a score ``float()``
-    rejects or that is not finite.
-    """
-    count = 0
-    for lines in line_chunks(fh):
-        rows = [line.split(",", 2) for line in lines]
-        try:
-            idx = np.fromiter(map(int, map(itemgetter(0), rows)), np.int64, len(rows))
-            vals = np.array(list(map(itemgetter(1), rows)), dtype=np.float64)
-        except (ValueError, IndexError, OverflowError):
-            return None
-        if not (np.all((idx >= 0) & (idx < len(scores))) and np.isfinite(vals).all()):
-            return None
-        scores[idx] = vals
-        count += len(rows)
-    return count
 
 
 def _parse_score_lines(path: str, fh, scores: np.ndarray) -> int:
@@ -447,11 +432,13 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
     paths = {"report": f"{out_dir}/loo.json", "folds": f"{out_dir}/folds.csv"}
     write_json(paths["report"], doc)
 
-    test = np.zeros((len(folds), ds.n), dtype=bool)
+    # One fold's rows at a time, so memory stays O(n) in the folds.
+    index = np.arange(ds.n)
+    write_csv(paths["folds"], ["index", "fold", "role"], [])
     for j, (_, test_idx) in enumerate(folds):
-        test[j, test_idx] = True
-    index, fold = np.tile(np.arange(ds.n), len(folds)), np.repeat(np.arange(len(folds)), ds.n)
-    write_csv(paths["folds"], ["index", "fold", "role"], [index, fold, np.where(test.ravel(), "test", "train")])
+        role = np.full(ds.n, "train")
+        role[test_idx] = "test"
+        write_csv(paths["folds"], None, [index, np.full(ds.n, j), role])
     print(f"summary: auprc={summary['auprc']:.4f} auroc={summary['auroc']:.4f}")
     return paths
 

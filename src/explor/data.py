@@ -260,7 +260,7 @@ def _read_csv(path, label_column, group_column, label_required):
     return (*parsed, [header[i] for i in feat_idx])
 
 
-def line_chunks(fh):
+def _line_chunks(fh):
     """Lists of the next at most ``CSV_CHUNK`` lines of the text file ``fh``, until it ends."""
     while lines := list(itertools.islice(fh, CSV_CHUNK)):
         yield lines
@@ -279,7 +279,7 @@ def _parse_chunks(fh, width, feat_idx, label_idx, group_idx):
     features = itemgetter(*feat_idx)
     limit = csv.field_size_limit()
     X, labels, groups = [], [], []
-    for lines in line_chunks(fh):
+    for lines in _line_chunks(fh):
         text = "".join(lines)
         if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
             return None
@@ -354,15 +354,18 @@ def write_csv(path, header, columns) -> None:
     """Write a headed CSV file whose columns are ``columns``, ``CSV_CHUNK`` rows at a time.
 
     Each array in ``columns`` is (N,) for one column or (N, k) for k, so
-    (N, 0) for none. The header goes through ``csv.writer``, so a name that needs quotes gets
+    (N, 0) for none; no arrays write the header alone. With ``header`` None
+    the rows are appended to the file, which already has its header. The
+    header goes through ``csv.writer``, so a name that needs quotes gets
     them. A cell is ``str`` of its ``tolist()`` item: a float is its repr,
     the shortest string that round-trips the exact double, so load/save
     round-trips bit-exactly; an int is its digits.
     """
     columns = [c for c in map(np.asarray, columns) if c.ndim == 1 or c.shape[1]]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for lo in range(0, len(columns[0]), CSV_CHUNK):
+    with open(path, "w" if header is not None else "a", newline="") as fh:
+        if header is not None:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(columns[0]) if columns else 0, CSV_CHUNK):
             cells = [_cells(c[lo : lo + CSV_CHUNK]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 

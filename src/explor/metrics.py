@@ -16,7 +16,11 @@ import numpy as np
 
 
 class ScoredSet:
-    """Scores with binary labels, ranked descending (ties: lowest index first)."""
+    """Scores with binary labels, ranked descending (ties: lowest index first).
+
+    The set is ranked once, on first use, and every metric reads that
+    ranking, so the scores must not change after construction.
+    """
 
     def __init__(self, scores, labels):
         s = np.asarray(scores, dtype=np.float64)
@@ -32,6 +36,7 @@ class ScoredSet:
             raise ValueError("labels must be 0/1")
         self.scores = s
         self.labels = y
+        self._ranking = None
 
     @property
     def n(self) -> int:
@@ -42,8 +47,12 @@ class ScoredSet:
         return int(self.labels.sum())
 
     def ranking(self) -> np.ndarray:
-        # Stable sort on negated scores: descending by score, ascending index on ties.
-        return np.argsort(-self.scores, kind="stable")
+        """The indices in rank order, read-only."""
+        if self._ranking is None:
+            # Stable sort on negated scores: descending by score, ascending index on ties.
+            self._ranking = np.argsort(-self.scores, kind="stable")
+            self._ranking.flags.writeable = False
+        return self._ranking
 
 
 def _require_positive(s: ScoredSet, op: str) -> None:

@@ -65,7 +65,12 @@ _SCORE_BLOCK = 256
 # thread per CPU, one per ``_BLOCKS_PER_WORKER`` blocks (a thread costs its
 # start and a few MiB of buffers, which a handful of blocks does not repay),
 # and ``_SCORE_WORKERS`` in all (each holds one block's activations, about
-# 4 MiB at the default 512x512 width).
+# 4 MiB at the default 512x512 width). It starts none unless these variables
+# pin BLAS to one thread: otherwise BLAS splits each product across the CPUs
+# itself, and scoring threads on top of it ran slower than none (50,000 rows
+# on 2 CPUs with OpenBLAS's default threads: 1.5-1.8 s on 2 or 3 threads,
+# 1.2-1.3 s inline).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _SCORE_WORKERS = 3
 _BLOCKS_PER_WORKER = 16
 
@@ -410,47 +415,11 @@ class TrainedBundle:
         )
 
 
-# The bytes of ``json.dump(doc, sort_keys=True, separators=(",", ":"))``.
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# ``write_json`` encodes lists of scalars this many items at a time.
-_JSON_SLICE = 4096
-
-
 def write_json(path, doc) -> None:
     """Write ``doc`` as deterministic JSON: sorted keys, no spaces, repr floats, one trailing newline."""
     with open(path, "w") as fh:
-        _write_json_value(fh, doc)
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-
-
-def _write_json_value(fh, value) -> None:
-    """Write ``value`` as ``_JSON`` encodes it, through its C encoder a slice at a time.
-
-    ``json.dump`` runs the pure-Python encoder, and one ``json.dumps`` of a
-    whole bundle holds all of its text at once. So dicts with ``str`` keys
-    and lists that hold containers are walked here, and every other value
-    goes to ``_JSON.encode``, each list of scalars in slices of at most
-    ``_JSON_SLICE`` items.
-    """
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        fh.write("{")
-        for i, key in enumerate(sorted(value)):
-            fh.write(("," if i else "") + _JSON.encode(key) + ":")
-            _write_json_value(fh, value[key])
-        fh.write("}")
-    elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
-        fh.write("[")
-        for i, item in enumerate(value):
-            if i:
-                fh.write(",")
-            _write_json_value(fh, item)
-        fh.write("]")
-    elif isinstance(value, (list, tuple)) and len(value) > _JSON_SLICE:
-        for lo in range(0, len(value), _JSON_SLICE):
-            fh.write(("," if lo else "[") + _JSON.encode(value[lo : lo + _JSON_SLICE])[1:-1])
-        fh.write("]")
-    else:
-        fh.write(_JSON.encode(value))
 
 
 def save_bundle(bundle: TrainedBundle, path) -> None:
@@ -595,9 +564,10 @@ def score(bundle: TrainedBundle, X):
     last one zero-padded: each block is encoded, run through the net, then
     the labelers, and only its real rows are kept. So a row's bytes do not
     depend on the rows scored with it, and memory beyond X and the outputs
-    stays flat in N. The blocks run on one thread per CPU the process may
-    use and per ``_BLOCKS_PER_WORKER`` blocks, at most ``_SCORE_WORKERS``,
-    or inline when one would do. Each block writes only its own rows of the
+    stays flat in N. When BLAS is pinned to one thread, the blocks run on
+    one thread per CPU the process may use and per ``_BLOCKS_PER_WORKER``
+    blocks, at most ``_SCORE_WORKERS``; otherwise, or when one thread would
+    do, they run inline. Each block writes only its own rows of the
     outputs, so the bytes do not depend on the thread count, and memory
     holds about one block per thread. The score is the mean head
     probability, the labeler vote fraction, or their average (h + g) / 2
@@ -639,7 +609,7 @@ def _score(bundle: TrainedBundle, X, keep_columns: bool):
             columns[start : start + m] = parts[0][:m]
 
     starts = range(0, n, _SCORE_BLOCK)
-    workers = min(_cpu_count(), -(-len(starts) // _BLOCKS_PER_WORKER), _SCORE_WORKERS)
+    workers = min(_scoring_cpus(), -(-len(starts) // _BLOCKS_PER_WORKER), _SCORE_WORKERS)
     if workers <= 1:
         for start in starts:
             run(start)
@@ -657,8 +627,15 @@ def _score(bundle: TrainedBundle, X, keep_columns: bool):
     return scores, columns
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+def _scoring_cpus() -> int:
+    """The CPUs ``score`` may start threads on: one unless ``_BLAS_THREAD_VARS`` pin BLAS to one thread.
+
+    Every one of those variables that is set must read 1, so a larger value
+    in any of them counts as BLAS threading its own products.
+    """
+    pins = [os.environ[var].strip() for var in _BLAS_THREAD_VARS if os.environ.get(var, "").strip()]
+    if not pins or any(pin != "1" for pin in pins):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -489,7 +489,7 @@ class TestFitPredictEval:
 
         with mock.patch.object(data, "CSV_CHUNK", chunk):
             fast = outcome()
-        with mock.patch.object(cli, "_parse_score_chunks", lambda fh, scores: None):
+        with mock.patch.object(cli, "_parse_chunks", lambda *args: None):
             assert fast == outcome()
 
     def test_missing_data_file_exit_code(self, workdir):

@@ -1,8 +1,8 @@
 """Artifacts do not depend on the BLAS thread count, nor on the scoring thread count.
 
 Each run is a fresh process with ``OPENBLAS_NUM_THREADS`` set before numpy
-loads, and with ``explor.model._cpu_count`` pinned, which sets how many
-threads ``score`` runs its blocks on. It runs the criterion-8
+loads, and with ``explor.model._scoring_cpus`` pinned, which sets how many
+threads ``score`` runs its blocks on, with BLAS on two threads too. It runs the criterion-8
 ``synth -> fit -> predict -> eval`` chain, ``predict --heads``, then an ERM
 fit on the default 512x512 net, whose batch products are large enough for
 OpenBLAS to split them across threads. Last, at the same BLAS thread count,
@@ -23,7 +23,7 @@ CLI = """
 import sys
 import explor.model
 cpus = int(sys.argv.pop(1))
-explor.model._cpu_count = lambda: cpus
+explor.model._scoring_cpus = lambda: cpus
 from explor.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -36,7 +36,7 @@ from explor.model import load_bundle, score
 b, X = load_bundle(sys.argv[1]), load_features(sys.argv[2])
 full = score(b, X)
 for cpus in (1, 3):
-    explor.model._cpu_count = lambda: cpus
+    explor.model._scoring_cpus = lambda: cpus
     assert all(p.tobytes() == f.tobytes() for p, f in zip(score(b, X), full)), cpus
     for idx in ([0], [len(X) - 1], list(range(3, 6)), list(range(17))[::-1], list(range(1, len(X), 2))):
         part = score(b, X[idx])
@@ -77,7 +77,7 @@ def run_chain(out: Path, threads: int, cpus: int) -> dict:
 
 def test_artifacts_match_across_blas_thread_counts(tmp_path):
     """And across scoring thread counts."""
-    runs = {(threads, cpus): run_chain(tmp_path / f"t{threads}c{cpus}", threads, cpus) for threads, cpus in ((1, 1), (2, 1), (1, 3))}
+    runs = {(threads, cpus): run_chain(tmp_path / f"t{threads}c{cpus}", threads, cpus) for threads, cpus in ((1, 1), (2, 1), (1, 3), (2, 3))}
     base = runs[1, 1]
     for key, run in runs.items():
         assert {name: run[name] == base[name] for name in ARTIFACTS} == {name: True for name in ARTIFACTS}, key

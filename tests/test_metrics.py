@@ -121,6 +121,15 @@ class TestPrCurve:
         assert np.allclose(recall, [0.0, 0.5, 1.0])
         assert np.allclose(precision, [0.0, 0.5, 2 / 3])
 
+    def test_ranked_once_and_read_only(self):
+        """Every metric reads the set's one ranking, which no caller can write to."""
+        s = ScoredSet([0.2, 0.9, 0.2, 0.5], [0, 1, 1, 0])
+        r = s.ranking()
+        assert r.tolist() == [1, 3, 0, 2] and not r.flags.writeable
+        evaluate(s, taus=(0.5,), ef_fractions=(0.5,))
+        pr_curve(s)
+        assert s.ranking() is r
+
     def test_matches_oracle_on_random_sets(self):
         rng = np.random.default_rng(42)
         for _ in range(300):

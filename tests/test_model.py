@@ -611,7 +611,7 @@ class TestBlockedScore:
     def test_rows_score_alike_on_any_number_of_threads(self, monkeypatch, method, cpus):
         """The library 15 times over (9,000 rows, 36 blocks, the last padded) gets the library's bytes 15 times."""
         b, X, (full_scores, full_columns) = library_case(method)
-        monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(model, "_scoring_cpus", lambda: cpus)
         scores, columns = score(b, np.tile(X, (15, 1)))
         assert scores.tobytes() == np.tile(full_scores, 15).tobytes()
         assert columns.tobytes() == np.tile(full_columns, (15, 1)).tobytes()
@@ -620,7 +620,7 @@ class TestBlockedScore:
     def test_few_blocks_run_inline(self, monkeypatch):
         """Fewer than ``_BLOCKS_PER_WORKER`` blocks per thread start no pool: the blocks run on the caller's thread."""
         b, X, _ = library_case("explor")
-        monkeypatch.setattr(model, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(model, "_scoring_cpus", lambda: 3)
         threads = set()
 
         def encode(lm, block):
@@ -634,10 +634,31 @@ class TestBlockedScore:
         score(b, np.tile(X, (15, 1)))  # 36 blocks: a pool
         assert threads and threading.get_ident() not in threads
 
+    @pytest.mark.parametrize(
+        "env,threaded",
+        [
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": " 1 "}, True),
+            ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, False),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+            ({"OPENBLAS_NUM_THREADS": ""}, False),
+        ],
+    )
+    def test_threads_only_when_blas_is_pinned_to_one(self, monkeypatch, env, threaded):
+        """Unless every BLAS thread variable that is set reads 1, scoring starts no threads of its own."""
+        for var in model._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert model._scoring_cpus() == (4 if threaded else 1)
+
     def test_peak_memory_is_flat_in_rows(self, monkeypatch):
         """20,000 rows through a 512x512, 64-head net and 64 labelers hold no (N, 512) activations,
         with as many scoring threads as the cap allows."""
-        monkeypatch.setattr(model, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(model, "_scoring_cpus", lambda: 64)
         b, X = wide_case()
         tracemalloc.start()
         try:
@@ -650,7 +671,7 @@ class TestBlockedScore:
 
     def test_predict_holds_no_columns(self, monkeypatch):
         """``predict`` peaks below the 10 MB of (20,000, 64) head columns that ``score`` returns."""
-        monkeypatch.setattr(model, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(model, "_scoring_cpus", lambda: 1)
         b, X = wide_case()
         tracemalloc.start()
         try:
@@ -676,7 +697,7 @@ class TestBlockedScore:
             time.sleep(0.01)  # the other blocks are slow, so cancelling them shows
             return latent.encode(lm, block)
 
-        monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(model, "_scoring_cpus", lambda: cpus)
         monkeypatch.setattr(model, "encode", encode)
         with pytest.raises(ValueError) as raised:
             score(b, X)
