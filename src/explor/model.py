@@ -69,7 +69,7 @@ _SCORE_BLOCK = 256
 # pin BLAS to one thread: otherwise BLAS splits each product across the CPUs
 # itself, and scoring threads on top of it ran slower than none (50,000 rows
 # on 2 CPUs with OpenBLAS's default threads: 1.5-1.8 s on 2 or 3 threads,
-# 1.2-1.3 s inline).
+# 1.1-1.3 s inline).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _SCORE_WORKERS = 3
 _BLOCKS_PER_WORKER = 16
