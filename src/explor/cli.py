@@ -432,7 +432,7 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
     paths = {"report": f"{out_dir}/loo.json", "folds": f"{out_dir}/folds.csv"}
     write_json(paths["report"], doc)
 
-    # One fold's rows at a time, so memory stays O(n) in the folds.
+    # One fold's rows at a time, so memory stays O(n) whatever the number of folds.
     index = np.arange(ds.n)
     write_csv(paths["folds"], ["index", "fold", "role"], [])
     for j, (_, test_idx) in enumerate(folds):
