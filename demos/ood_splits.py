@@ -1,9 +1,8 @@
-"""Leave-one-cluster-out evaluation and column splits.
+"""Leave-one-cluster-out evaluation.
 
 Clusters are built on the positive rows in latent space; each fold holds
 one cluster out entirely, so its test region is unseen at training time.
-Fold metrics are combined by test-size weighting. A column split does the
-same job when an explicit group id (for example a shared scaffold) exists.
+Fold metrics are combined by test-size weighting.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ from explor.latent import fit_pca
 from explor.metrics import ScoredSet, evaluate
 from explor.model import predict, train_pl_ens
 from explor.pseudolabel import PseudoLabelConfig
-from explor.splits import FoldResult, cluster_split, column_split, leave_one_out_folds, weighted_summary
+from explor.splits import FoldResult, cluster_split, leave_one_out_folds, weighted_summary
 
 rng = np.random.default_rng(11)
 
@@ -42,12 +41,4 @@ for j, (train_idx, test_idx) in enumerate(folds):
 
 summary = weighted_summary(results)
 print(f"weighted summary: auprc@0.2 {summary['auprc_at']['0.2']:.3f}, "
-      f"auroc {summary['auroc']:.3f}\n")
-
-# Column split: hold out whole groups by id.
-groups = rng.integers(0, 5, ds.n)
-gds = Dataset(X, y, group=groups)
-train_part, test_part, _, _ = column_split(gds, holdout_group_ids=[0, 3])
-print(f"column split on groups [0, 3]: train {train_part.n} rows "
-      f"(groups {sorted(set(train_part.group.tolist()))}), "
-      f"test {test_part.n} rows (groups {sorted(set(test_part.group.tolist()))})")
+      f"auroc {summary['auroc']:.3f}")

@@ -10,7 +10,6 @@ probabilities, which keeps rankings stable under distribution shift.
 from .data import Dataset, DatasetError, SubsampleSpec, load_csv, make_synthetic_radial, save_csv, subsample
 from .latent import LatentMap, decode, encode, expand_with, fit_pca
 from .metrics import (
-    DiversityStats,
     EvalReport,
     ScoredSet,
     VarianceReport,
@@ -18,7 +17,6 @@ from .metrics import (
     auprc_truncated,
     auroc,
     bootstrap_variance,
-    diversity_stats,
     enrichment_factor,
     evaluate,
     pr_curve,
@@ -41,7 +39,7 @@ from .model import (
 )
 from .pseudolabel import PseudoLabelConfig, PseudoLabelEnsemble, Tree, fit_ensemble, fit_tree
 from .seeding import derive_seed
-from .splits import ClusterModel, FoldResult, cluster_split, column_split, kmeans, leave_one_out_folds, weighted_summary
+from .splits import ClusterModel, FoldResult, cluster_split, kmeans, leave_one_out_folds, weighted_summary
 
 __version__ = "0.1.0"
 
@@ -50,7 +48,6 @@ __all__ = [
     "ClusterModel",
     "Dataset",
     "DatasetError",
-    "DiversityStats",
     "EvalReport",
     "ExplorNet",
     "FoldResult",
@@ -69,10 +66,8 @@ __all__ = [
     "auroc",
     "bootstrap_variance",
     "cluster_split",
-    "column_split",
     "decode",
     "derive_seed",
-    "diversity_stats",
     "encode",
     "enrichment_factor",
     "evaluate",

@@ -63,7 +63,6 @@ DEFAULTS = {
     "method": "explor",
     "seed": 0,
     "label_column": "label",
-    "group_column": None,
     "latent": {"components": None, "sigma": 0.5},
     "pseudo": _config_defaults(PseudoLabelConfig),
     "net": _config_defaults(NetConfig),
@@ -99,7 +98,7 @@ _RANGES = {
 
 
 # For each key whose default is null, a value of the kind it may take instead.
-_NULL_KINDS = {"group_column": "", "latent.components": 0}
+_NULL_KINDS = {"latent.components": 0}
 
 
 def _merge_config(base: dict, override: dict, path: str = "", schema: dict = DEFAULTS) -> dict:
@@ -210,7 +209,7 @@ def resolve_config(config_path, args) -> dict:
 
 
 def _load_dataset(cfg: dict, path: str) -> Dataset:
-    return load_csv(path, label_column=cfg["label_column"], group_column=cfg["group_column"])
+    return load_csv(path, label_column=cfg["label_column"])
 
 
 def _train_bundle(cfg: dict, ds: Dataset, base_seed: int | None = None) -> TrainedBundle:
@@ -255,7 +254,7 @@ def cmd_fit(cfg: dict, train_path: str, out_dir: str) -> dict:
 def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, include_heads: bool = False) -> dict:
     bundle = load_bundle(bundle_path)
     # Scoring needs no labels: the label column is dropped if present.
-    X = load_features(data_path, label_column=cfg["label_column"], group_column=cfg["group_column"])
+    X = load_features(data_path, label_column=cfg["label_column"])
     if include_heads:
         scores, heads = score(bundle, X)
         heads = heads.astype(np.float64, copy=False)  # a bundle with no net writes its 0/1 votes as floats too
@@ -272,10 +271,10 @@ def _read_predictions(path: str, n: int) -> np.ndarray:
     """The n finite scores of a predictions file, one for each dataset row.
 
     The lines are parsed a chunk at a time by the dataset reader's fast path
-    (``data._parse_chunks``, reading the index as a group id and the score
-    as the one feature); a file that path declines, or whose indices or
-    scores are out of range, is read again from line 2 by the per-line loop
-    (:func:`_parse_score_lines`), whose errors name the line.
+    (``data._parse_chunks``, reading the score as the one feature and the
+    index as its integer column); a file that path declines, or whose indices
+    or scores are out of range, is read again from line 2 by the per-line
+    loop (:func:`_parse_score_lines`), whose errors name the line.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")

@@ -1,8 +1,8 @@
 """Datasets: construction, CSV i/o, subsampling, and a synthetic benchmark.
 
-A :class:`Dataset` is a frozen bundle of a float64 feature matrix, binary
-labels, and optional integer group ids. All randomized operations take
-explicit seeds; calling twice with the same seed yields identical results.
+A :class:`Dataset` is a frozen bundle of a float64 feature matrix and binary
+labels. All randomized operations take explicit seeds; calling twice with the
+same seed yields identical results.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def check_fields(obj) -> None:
 
 
 class Dataset:
-    """Feature matrix with binary labels and optional group ids.
+    """Feature matrix with binary labels.
 
     Arrays are copied and marked read-only, so a Dataset never changes after
     construction.
@@ -90,11 +90,10 @@ class Dataset:
     ----------
     features : (N, d) array_like of finite floats
     labels : (N,) array_like with values in {0, 1}
-    group : optional (N,) array_like of integer group ids
     feature_names : optional list of d column names
     """
 
-    def __init__(self, features, labels, group=None, feature_names=None):
+    def __init__(self, features, labels, feature_names=None):
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2:
             raise DatasetError(f"features must be 2-d, got shape {X.shape}")
@@ -105,28 +104,20 @@ class Dataset:
         y = np.asarray(labels)
         if y.shape != (n,):
             raise DatasetError(f"labels must have shape ({n},), got {y.shape}")
+        # Checked before the cast, which would truncate 0.5 to 0 and 1.7 to 1.
+        ok = (y == 0) | (y == 1)
+        if not np.all(ok):
+            raise DatasetError(f"label outside {{0, 1}} at row {int(np.flatnonzero(~ok)[0])}")
         y = y.astype(np.int64)
-        if not np.all((y == 0) | (y == 1)):
-            bad = int(np.flatnonzero((y != 0) & (y != 1))[0])
-            raise DatasetError(f"label outside {{0, 1}} at row {bad}")
-        if group is not None:
-            g = np.asarray(group).astype(np.int64)
-            if g.shape != (n,):
-                raise DatasetError(f"group must have shape ({n},), got {g.shape}")
-        else:
-            g = None
         if feature_names is not None:
             feature_names = [str(c) for c in feature_names]
             if len(feature_names) != d:
                 raise DatasetError(f"expected {d} feature names, got {len(feature_names)}")
         self.features = X.copy()
         self.labels = y.copy()
-        self.group = None if g is None else g.copy()
         self.feature_names = None if feature_names is None else list(feature_names)
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
-        if self.group is not None:
-            self.group.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -143,16 +134,10 @@ class Dataset:
         names = None
         if self.feature_names is not None:
             names = [self.feature_names[int(c)] for c in cols]
-        return Dataset(
-            self.features[np.ix_(rows, cols)],
-            self.labels[rows],
-            group=None if self.group is None else self.group[rows],
-            feature_names=names,
-        )
+        return Dataset(self.features[np.ix_(rows, cols)], self.labels[rows], feature_names=names)
 
     def __repr__(self) -> str:
-        g = "" if self.group is None else ", grouped"
-        return f"Dataset(n={self.n}, d={self.d}{g})"
+        return f"Dataset(n={self.n}, d={self.d})"
 
 
 # The range of every fraction of rows or columns.
@@ -197,31 +182,31 @@ def subsample_indices(n: int, d: int, spec: SubsampleSpec):
     return rows, cols
 
 
-def load_csv(path, label_column: str = "label", group_column: str | None = None) -> Dataset:
+def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a Dataset from a headed CSV file.
 
-    Every column other than ``label_column`` and ``group_column`` is parsed
-    as a float feature, in header order. Labels must be 0/1 or true/false.
-    Parse failures are reported with their row and column.
+    Every column other than ``label_column`` is parsed as a float feature, in
+    header order. Labels must be 0/1 or true/false. Parse failures are
+    reported with their row and column.
     """
-    X, labels, groups, names = _read_csv(path, label_column, group_column, label_required=True)
-    return Dataset(X, labels, group=groups, feature_names=names)
+    X, labels, names = _read_csv(path, label_column, label_required=True)
+    return Dataset(X, labels, feature_names=names)
 
 
-def load_features(path, label_column: str = "label", group_column: str | None = None) -> np.ndarray:
+def load_features(path, label_column: str = "label") -> np.ndarray:
     """The (N, d) feature matrix of a headed CSV file whose label column may be absent.
 
     Columns and checks are those of :func:`load_csv`; a label column that is
     present is still validated. A file with and without its label column
     gives the same matrix.
     """
-    X, _, _, _ = _read_csv(path, label_column, group_column, label_required=False)
+    X, _, _ = _read_csv(path, label_column, label_required=False)
     _check_finite(X)
     return X
 
 
-def _read_csv(path, label_column, group_column, label_required):
-    """(features, labels or None, groups or None, feature names) of a headed CSV file.
+def _read_csv(path, label_column, label_required):
+    """(features, labels or None, feature names) of a headed CSV file.
 
     The data lines are parsed a chunk at a time (:func:`_parse_chunks`). A file
     that path declines is read again from line 2 by the per-cell loop
@@ -239,25 +224,19 @@ def _read_csv(path, label_column, group_column, label_required):
             label_idx = header.index(label_column)
         elif label_required:
             raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
-        group_idx = None
-        if group_column is not None:
-            if group_column not in header:
-                raise DatasetError(f"{path}: group column {group_column!r} not in header {header}")
-            group_idx = header.index(group_column)
-        for role, name in (("label", label_column), ("group", group_column)):
-            if header.count(name) > 1:
-                raise DatasetError(f"{path}: {role} column {name!r} appears {header.count(name)} times in header {header}")
-        feat_idx = [i for i in range(len(header)) if i != label_idx and i != group_idx]
+        if header.count(label_column) > 1:
+            raise DatasetError(f"{path}: label column {label_column!r} appears {header.count(label_column)} times in header {header}")
+        feat_idx = [i for i in range(len(header)) if i != label_idx]
         if not feat_idx:
             raise DatasetError(f"{path}: no feature columns")
-        parsed = _parse_chunks(fh, len(header), feat_idx, label_idx, group_idx)
+        parsed = _parse_chunks(fh, len(header), feat_idx, label_idx, None)
         if parsed is None:
             fh.seek(0)
             next(reader)
-            parsed = _parse_records(path, reader, header, feat_idx, label_idx, group_idx)
+            parsed = _parse_records(path, reader, header, feat_idx, label_idx)
     if len(parsed[0]) == 0:
         raise DatasetError(f"{path}: no data rows")
-    return (*parsed, [header[i] for i in feat_idx])
+    return parsed[0], parsed[1], [header[i] for i in feat_idx]
 
 
 def _line_chunks(fh):
@@ -266,19 +245,20 @@ def _line_chunks(fh):
         yield lines
 
 
-def _parse_chunks(fh, width, feat_idx, label_idx, group_idx):
-    """(features, labels or None, groups or None) of the lines left in ``fh``, or None to decline.
+def _parse_chunks(fh, width, feat_idx, label_idx, index_idx):
+    """(features, labels or None, indices or None) of the lines left in ``fh``, or None to decline.
 
     Each chunk is split on commas and its features parsed at once by
     ``np.array(cells, dtype=np.float64)``, which calls ``float()`` on each
     cell as the loop does. Only plain input passes: the path declines on a
     quote, CR or NUL, a cell longer than ``csv`` reads, a row of another
     width, a feature ``float()`` rejects (so a blank line), a label other
-    than exactly ``0`` or ``1``, or a group id ``int()`` rejects.
+    than exactly ``0`` or ``1``, or an integer index (the ``index`` column of
+    a predictions file) that ``int()`` rejects or int64 cannot hold.
     """
     features = itemgetter(*feat_idx)
     limit = csv.field_size_limit()
-    X, labels, groups = [], [], []
+    X, labels, indices = [], [], []
     for lines in _line_chunks(fh):
         text = "".join(lines)
         if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
@@ -289,8 +269,8 @@ def _parse_chunks(fh, width, feat_idx, label_idx, group_idx):
         m = len(rows)
         try:
             X.append(np.array(list(map(features, rows)), dtype=np.float64).reshape(m, len(feat_idx)))
-            if group_idx is not None:
-                groups.append(np.fromiter(map(int, map(itemgetter(group_idx), rows)), np.int64, m))
+            if index_idx is not None:
+                indices.append(np.fromiter(map(int, map(itemgetter(index_idx), rows)), np.int64, m))
         except (ValueError, OverflowError):
             return None
         if label_idx is not None:
@@ -303,15 +283,14 @@ def _parse_chunks(fh, width, feat_idx, label_idx, group_idx):
     return (
         np.concatenate(X),
         np.concatenate(labels) if label_idx is not None else None,
-        np.concatenate(groups) if group_idx is not None else None,
+        np.concatenate(indices) if index_idx is not None else None,
     )
 
 
-def _parse_records(path, reader, header, feat_idx, label_idx, group_idx):
-    """(features, labels or None, groups or None) of the records left in ``reader``, one cell at a time."""
+def _parse_records(path, reader, header, feat_idx, label_idx):
+    """(features, labels or None) of the records left in ``reader``, one cell at a time."""
     label_column = None if label_idx is None else header[label_idx]
-    group_column = None if group_idx is None else header[group_idx]
-    rows, labels, groups = [], [], []
+    rows, labels = [], []
     for lineno, rec in enumerate(reader, start=2):
         if not rec or (len(rec) == 1 and rec[0].strip() == ""):
             continue
@@ -327,13 +306,6 @@ def _parse_records(path, reader, header, feat_idx, label_idx, group_idx):
                 raise DatasetError(
                     f"{path}: line {lineno}, column {label_column!r}: label {rec[label_idx]!r} not in 0/1/true/false"
                 )
-        if group_idx is not None:
-            try:
-                groups.append(int(rec[group_idx]))
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: line {lineno}, column {group_column!r}: bad group id {rec[group_idx]!r}"
-                ) from None
         vals = []
         for i in feat_idx:
             try:
@@ -346,7 +318,6 @@ def _parse_records(path, reader, header, feat_idx, label_idx, group_idx):
     return (
         np.array(rows, dtype=np.float64),
         np.array(labels, dtype=np.int64) if label_idx is not None else None,
-        np.array(groups, dtype=np.int64) if group_idx is not None else None,
     )
 
 
@@ -377,16 +348,16 @@ def _cells(block: np.ndarray) -> list:
     return [",".join(map(str, row)) for row in block.tolist()]
 
 
-def save_csv(ds: Dataset, path, label_column: str = "label", group_column: str = "group") -> None:
-    """Write a Dataset as CSV, features then the label then any group id; :func:`load_csv` reads it back bit-exactly."""
+def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
+    """Write a Dataset as CSV, features then the label; :func:`load_csv` reads it back bit-exactly."""
     names = ds.feature_names or [f"x{j}" for j in range(ds.d)]
-    header = list(names) + [label_column] + ([group_column] if ds.group is not None else [])
-    # load_csv strips header names and rejects a label or group column named twice.
-    stripped = [h.strip() for h in header]
-    for name in stripped[len(names):]:
-        if stripped.count(name) > 1:
-            raise DatasetError(f"{path}: column {name!r} would appear {stripped.count(name)} times in header {header}")
-    write_csv(path, header, [ds.features, ds.labels] + ([] if ds.group is None else [ds.group]))
+    header = list(names) + [label_column]
+    # load_csv strips header names and rejects a label column named twice.
+    label = label_column.strip()
+    count = [h.strip() for h in header].count(label)
+    if count > 1:
+        raise DatasetError(f"{path}: column {label!r} would appear {count} times in header {header}")
+    write_csv(path, header, [ds.features, ds.labels])
 
 
 def make_synthetic_radial(n_id: int, n_ood: int, d: int, seed: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_finite
+from .data import _check_finite, is_int
 
 
 @dataclass
@@ -60,9 +60,9 @@ def fit_pca(X, n_components: int | None = None) -> LatentMap:
     n, d = X.shape
     if n < 2:
         raise ValueError(f"PCA needs at least 2 rows, got {n}")
+    if n_components is not None and not (is_int(n_components) and n_components >= 1):
+        raise ValueError(f"n_components must be None or an integer >= 1, got {n_components!r}")
     cap = 128 if n_components is None else int(n_components)
-    if cap < 1:
-        raise ValueError(f"n_components must be >= 1, got {n_components}")
     s = min(cap, n - 1, d)
     mean = X.mean(axis=0)
     _, sing, vt = np.linalg.svd(X - mean, full_matrices=False)

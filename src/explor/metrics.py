@@ -31,9 +31,9 @@ class ScoredSet:
             raise ValueError("empty scored set")
         if not np.all(np.isfinite(s)):
             raise ValueError("scores must be finite")
-        y = y.astype(np.int64)
-        if not np.all((y == 0) | (y == 1)):
+        if not np.all((y == 0) | (y == 1)):  # before the cast, which would truncate 0.5 to 0
             raise ValueError("labels must be 0/1")
+        y = y.astype(np.int64)
         self.scores = s
         self.labels = y
         self._ranking = None
@@ -150,36 +150,6 @@ def bootstrap_variance(score_matrix) -> VarianceReport:
     var = M.var(axis=0, ddof=1)
     top = np.argsort(-var, kind="stable")[: min(3, var.size)]
     return VarianceReport(per_instance=var, mean_variance=float(var.mean()), top_indices=top)
-
-
-@dataclass
-class DiversityStats:
-    feature_variance_mean: float
-    unique_group_count: int
-    n_confident: int
-    n_top: int
-
-
-def diversity_stats(ds, scores, confidence_threshold: float = 0.9, top_fraction: float = 0.025) -> DiversityStats:
-    """Spread of the confident predictions and group coverage of the top block.
-
-    ``feature_variance_mean`` averages per-feature sample variance over
-    instances scoring above the threshold (0 when fewer than two qualify).
-    ``unique_group_count`` counts distinct group ids in the top
-    ceil(fraction * N) of the ranking and requires a group column.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != (ds.n,):
-        raise ValueError(f"scores must have shape ({ds.n},), got {s.shape}")
-    if ds.group is None:
-        raise ValueError("diversity_stats needs a dataset with group ids")
-    confident = s > confidence_threshold
-    n_conf = int(confident.sum())
-    fv = float(ds.features[confident].var(axis=0, ddof=1).mean()) if n_conf >= 2 else 0.0
-    n_top = math.ceil(top_fraction * ds.n)
-    order = np.argsort(-s, kind="stable")[:n_top]
-    uniq = int(np.unique(ds.group[order]).size)
-    return DiversityStats(feature_variance_mean=fv, unique_group_count=uniq, n_confident=n_conf, n_top=n_top)
 
 
 @dataclass

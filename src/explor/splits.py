@@ -1,4 +1,4 @@
-"""OOD evaluation splits: latent clusters held out one at a time, or column splits.
+"""OOD evaluation splits: latent clusters held out one at a time.
 
 Clusters are found with k-means over the latent codes of the positives only;
 every instance (positive or negative) is then assigned to its nearest
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, is_int
 from .latent import LatentMap, encode
 from .seeding import generator
 
@@ -81,8 +81,8 @@ def kmeans(Z, k: int, seed: int = 0) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {Z.shape}")
-    if not 1 <= k <= Z.shape[0]:
-        raise ValueError(f"k must be in [1, {Z.shape[0]}], got {k}")
+    if not (is_int(k) and 1 <= k <= Z.shape[0]):
+        raise ValueError(f"k must be an integer in [1, {Z.shape[0]}], got {k!r}")
     centroids, _, _ = _lloyd(Z, k, seed)
     return centroids
 
@@ -131,24 +131,6 @@ def leave_one_out_folds(ds: Dataset, model: ClusterModel):
             raise ValueError(f"cluster {j} covers the whole dataset, no train side left")
         folds.append((train, test))
     return folds
-
-
-def column_split(ds: Dataset, holdout_group_ids):
-    """Split by group id: held-out groups become the test set.
-
-    Returns (train Dataset, test Dataset, train_indices, test_indices).
-    """
-    if ds.group is None:
-        raise ValueError("column_split needs a dataset with group ids")
-    hold = np.asarray(sorted(set(int(g) for g in holdout_group_ids)), dtype=np.int64)
-    mask = np.isin(ds.group, hold)
-    test_idx = np.flatnonzero(mask)
-    train_idx = np.flatnonzero(~mask)
-    if test_idx.size == 0:
-        raise ValueError(f"no instances match holdout groups {hold.tolist()}")
-    if train_idx.size == 0:
-        raise ValueError("holdout groups cover the whole dataset")
-    return ds.take(train_idx), ds.take(test_idx), train_idx, test_idx
 
 
 @dataclass

@@ -106,8 +106,8 @@ class TestConfig:
         {"latent": {"components": 2.7}},
         {"latent": {"components": True}},
         {"latent": {"components": "2"}},
-        {"group_column": 3},
-        {"group_column": False},
+        {"label_column": 3},
+        {"label_column": False},
     ])
     def test_wrongly_typed_value_exits_one(self, workdir, capsys, override):
         tmp_path, _ = workdir
@@ -120,17 +120,37 @@ class TestConfig:
         assert not (tmp_path / "bundle.json").exists()
 
     def test_int_for_float_and_open_none_defaults_accepted(self):
-        cfg = _merge_config(DEFAULTS, {"latent": {"sigma": 1, "components": 3}, "group_column": "g", "net": {"learning_rate": 1}})
-        assert cfg["latent"] == {"sigma": 1, "components": 3} and cfg["group_column"] == "g"
+        cfg = _merge_config(DEFAULTS, {"latent": {"sigma": 1, "components": 3}, "net": {"learning_rate": 1}})
+        assert cfg["latent"] == {"sigma": 1, "components": 3}
 
     def test_null_default_keys_take_null(self):
-        cfg = _merge_config(DEFAULTS, {"latent": {"components": None}, "group_column": None})
-        assert cfg["latent"]["components"] is None and cfg["group_column"] is None
+        cfg = _merge_config(DEFAULTS, {"latent": {"components": None}})
+        assert cfg["latent"]["components"] is None
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # --train is required
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("how", ["config_file", "flag"])
+    def test_group_column_is_not_accepted(self, workdir, capsys, how):
+        """The removed group_column key is an unknown key in a file and an unknown flag, never ignored."""
+        tmp_path, cfg_path = workdir
+        argv = ["fit", "--train", str(tmp_path / "train.csv"), "--output-dir", str(tmp_path)]
+        if how == "config_file":
+            cfg_path.write_text(json.dumps(tiny_cfg(group_column=None)))
+            says = "error: unknown config key 'group_column'\n"
+        else:
+            argv += ["--group-column", "g"]
+            says = "error: unrecognized arguments: --group-column g\n"
+        capsys.readouterr()
+        try:
+            code = main([*argv, "--config", str(cfg_path)])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 1 and err.endswith(says) and err.count("error:") == 1 and "Traceback" not in err
+        assert not (tmp_path / "bundle.json").exists()
 
 
 # Every per-key flag: its spelling, one value, the config path it sets and
@@ -139,7 +159,6 @@ FLAG_TABLE = [
     ("--method", "erm", "method", "erm"),
     ("--seed", "5", "seed", 5),
     ("--label-column", "y", "label_column", "y"),
-    ("--group-column", "g", "group_column", "g"),
     ("--components", "3", "latent.components", 3),
     ("--sigma", "0.25", "latent.sigma", 0.25),
     ("--k", "7", "pseudo.k", 7),
@@ -195,10 +214,10 @@ class TestFlagSurface:
     def test_flags_are_checked_against_the_defaults_not_the_file(self, tmp_path):
         """A file may hold an int for a float key or an empty list; a flag still overrides it."""
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"latent": {"sigma": 1}, "metrics": {"taus": []}, "group_column": "g"}))
-        args = build_parser().parse_args(["synth", "--sigma", "0.25", "--taus", "0.5", "--group-column", "h"])
+        cfg.write_text(json.dumps({"latent": {"sigma": 1}, "metrics": {"taus": []}, "label_column": "y"}))
+        args = build_parser().parse_args(["synth", "--sigma", "0.25", "--taus", "0.5", "--label-column", "z"])
         got = resolve_config(str(cfg), args)
-        assert (got["latent"]["sigma"], got["metrics"]["taus"], got["group_column"]) == (0.25, [0.5], "h")
+        assert (got["latent"]["sigma"], got["metrics"]["taus"], got["label_column"]) == (0.25, [0.5], "z")
 
     @pytest.mark.parametrize("argv,want", [([], True), (["--freeze-expansion"], False), (["--redraw-expansion"], True)])
     def test_expansion_pair(self, argv, want):
@@ -468,7 +487,7 @@ class TestFitPredictEval:
     @given(
         cells=st.lists(
             st.tuples(
-                st.sampled_from(["0", "1", "2", "-1", "+1", " 1", "1_0", "x", "", "3\n\n"]),
+                st.sampled_from(["0", "1", "2", "-1", "+1", " 1", "1_0", "x", "", "3\n\n", "99999999999999999999"]),
                 st.sampled_from(["0.5", "-0.0", "1e-300", "nan", "inf", "1e999", " 0.25 ", "1_5", "x", ""]),
                 st.sampled_from(["", ",0.5", ",1.0,0.0"]),
             ),

@@ -27,12 +27,9 @@ from explor.data import (
 rng = np.random.default_rng(42)
 
 
-def small_ds(n=10, d=4, seed=0, group=False):
+def small_ds(n=10, d=4, seed=0):
     r = np.random.default_rng(seed)
-    X = r.standard_normal((n, d))
-    y = r.integers(0, 2, n)
-    g = r.integers(0, 3, n) if group else None
-    return Dataset(X, y, group=g)
+    return Dataset(r.standard_normal((n, d)), r.integers(0, 2, n))
 
 
 class TestDataset:
@@ -63,71 +60,61 @@ class TestDataset:
         with pytest.raises(DatasetError):
             Dataset(np.ones((0, 2)), [])
 
-    def test_rejects_misaligned_group(self):
-        with pytest.raises(DatasetError, match="group"):
-            Dataset(np.ones((3, 2)), [0, 1, 0], group=[1, 2])
+    def test_fractional_labels_rejected_not_truncated(self):
+        with pytest.raises(DatasetError, match="label outside {0, 1} at row 0"):
+            Dataset(np.zeros((3, 2)), [0.5, 1.7, 0.2])
 
     def test_take_rows_and_cols(self):
-        ds = small_ds(group=True)
+        ds = small_ds()
         sub = ds.take(rows=[2, 5], cols=[0, 3])
         assert sub.n == 2 and sub.d == 2
         assert np.array_equal(sub.features, ds.features[np.ix_([2, 5], [0, 3])])
-        assert np.array_equal(sub.group, ds.group[[2, 5]])
+        assert np.array_equal(sub.labels, ds.labels[[2, 5]])
 
 
 class TestCsvRoundtrip:
     def test_bit_exact_roundtrip(self, tmp_path):
         """save_csv writes repr floats, so a reload is bit-identical."""
-        ds = Dataset(rng.standard_normal((20, 3)) * 1e3, rng.integers(0, 2, 20),
-                     group=rng.integers(0, 5, 20))
+        ds = Dataset(rng.standard_normal((20, 3)) * 1e3, rng.integers(0, 2, 20))
         path = tmp_path / "ds.csv"
         save_csv(ds, path)
-        back = load_csv(path, group_column="group")
+        back = load_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.group, ds.group)
         assert back.feature_names == ["x0", "x1", "x2"]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     @example(data=None)
     def test_roundtrip_property(self, tmp_path_factory, data):
-        """Any finite features, 0/1 labels, optional groups and distinct names load back as saved."""
+        """Any finite features, 0/1 labels and distinct names load back as saved."""
         if data is None:  # pinned: signed zero, the smallest and largest subnormals, ±1e308
             X = np.array([[-0.0, 5e-324], [1e308, -1e308], [-2.225073858507201e-308, 0.0]])
-            y, g, names = np.array([0, 1, 1]), np.array([-(2**63), 0, 2**63 - 1]), ["a b", 'q,"x"']
+            y, names = np.array([0, 1, 1]), ["a b", 'q,"x"']
         else:
             n = data.draw(st.integers(1, 8), label="n")
             d = data.draw(st.integers(1, 4), label="d")
             floats = st.floats(allow_nan=False, allow_infinity=False)
             X = np.array(data.draw(st.lists(st.lists(floats, min_size=d, max_size=d), min_size=n, max_size=n)))
             y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-            g = data.draw(st.none() | st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
-            g = None if g is None else np.array(g, dtype=np.int64)
             name = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6).filter(
-                lambda s: s == s.strip() and s not in ("label", "group"))
+                lambda s: s == s.strip() and s != "label")
             names = data.draw(st.none() | st.lists(name, min_size=d, max_size=d, unique=True))
-        ds = Dataset(X, y, group=g, feature_names=names)
+        ds = Dataset(X, y, feature_names=names)
         path = tmp_path_factory.mktemp("csv") / "ds.csv"
         save_csv(ds, path)
-        back = load_csv(path, group_column="group" if g is not None else None)
+        back = load_csv(path)
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels.tobytes() == ds.labels.tobytes()
-        assert (back.group is None) == (ds.group is None)
-        assert back.group is None or back.group.tobytes() == ds.group.tobytes()
         assert back.feature_names == (ds.feature_names or [f"x{j}" for j in range(ds.d)])
 
-    @pytest.mark.parametrize("names,label,group,groups", [
-        (["x0", "label"], "label", "group", False),
-        (["x0", "group"], "label", "group", True),
-        (["x0", " label "], "label", "group", False),
-        (["x0", "x1"], "g", "g", True),
-    ], ids=["feature_is_label", "feature_is_group", "stripped_feature_is_label", "label_is_group"])
-    def test_save_rejects_a_header_it_cannot_read(self, tmp_path, names, label, group, groups):
-        ds = Dataset(np.zeros((2, 2)), [0, 1], group=[1, 2] if groups else None, feature_names=names)
+    @pytest.mark.parametrize("names", [["x0", "label"], ["x0", " label "]],
+                             ids=["feature_is_label", "stripped_feature_is_label"])
+    def test_save_rejects_a_header_it_cannot_read(self, tmp_path, names):
+        ds = Dataset(np.zeros((2, 2)), [0, 1], feature_names=names)
         path = tmp_path / "x.csv"
         with pytest.raises(DatasetError, match="would appear 2 times"):
-            save_csv(ds, path, label_column=label, group_column=group)
+            save_csv(ds, path)
         assert not path.exists()
 
     def test_feature_named_group_is_written_without_groups(self, tmp_path):
@@ -135,18 +122,14 @@ class TestCsvRoundtrip:
         save_csv(ds, tmp_path / "x.csv")
         assert load_csv(tmp_path / "x.csv").feature_names == ["group"]
 
-    @pytest.mark.parametrize("header,group", [
-        ("label,a,label", None),
-        ("a, label,label", None),
-        ("a,g,label,g", "g"),
-    ])
-    def test_load_rejects_label_or_group_named_twice(self, tmp_path, header, group):
+    @pytest.mark.parametrize("header", ["label,a,label", "a, label,label"])
+    def test_load_rejects_label_named_twice(self, tmp_path, header):
         path = tmp_path / "x.csv"
         path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
         with pytest.raises(DatasetError, match="appears 2 times"):
-            load_csv(path, group_column=group)
+            load_csv(path)
         with pytest.raises(DatasetError, match="appears 2 times"):
-            load_features(path, group_column=group)
+            load_features(path)
 
     def test_true_false_labels(self, tmp_path):
         path = tmp_path / "tf.csv"
@@ -201,23 +184,23 @@ class TestCsvRoundtrip:
             load_csv(path)
 
 
-def read_outcome(path, group_column, label_required):
+def read_outcome(path, label_required):
     """What ``_read_csv`` gives on ``path``: its arrays as bytes and the names, or the error."""
     try:
-        X, labels, groups, names = _read_csv(path, "label", group_column, label_required)
-    except (DatasetError, OverflowError) as exc:
-        return type(exc).__name__, str(exc)
-    as_bytes = [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in (X, labels, groups)]
+        X, labels, names = _read_csv(path, "label", label_required)
+    except DatasetError as exc:
+        return str(exc)
+    as_bytes = [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in (X, labels)]
     return as_bytes, names
 
 
-def assert_read_as_the_loop(path, group_column, label_required):
+def assert_read_as_the_loop(path, label_required):
     """Check that ``_read_csv`` gives what its per-cell loop alone gives; returns what ``_parse_chunks`` returned."""
     calls = []
     with mock.patch.object(data, "_parse_chunks", spy_chunks(calls)):
-        fast = read_outcome(path, group_column, label_required)
+        fast = read_outcome(path, label_required)
     with mock.patch.object(data, "_parse_chunks", lambda *args: None):
-        assert fast == read_outcome(path, group_column, label_required)
+        assert fast == read_outcome(path, label_required)
     return calls
 
 
@@ -232,13 +215,12 @@ def spy_chunks(calls):
     return spy
 
 
-PLAIN_CELLS = {"feature": ["1.5", "-0.0", "7", "1e-300"], "label": ["0", "1"], "group": ["0", "-3", "12"]}
+PLAIN_CELLS = {"feature": ["1.5", "-0.0", "7", "1e-300"], "label": ["0", "1"]}
 # Cells that the chunked reader must parse, or decline to the loop, exactly as the loop does.
 ODD_CELLS = {
     "feature": ["5e-324", " 2 ", "1_0", "١٢", "+.5", "1e999", "nan", "-inf", "0x10", "", "x", "1.0\x00", '"3.5"',
                 '"1,5"', "2\r"],
     "label": [" 1", "1 ", "true", "FALSE", "1_0", "1.0", "2", "", '"1"', "0\x00"],
-    "group": ["+5", " 7 ", "1_0", "١٢", "1.5", "x", "", "99999999999999999999", '"4"', "4\r"],
 }
 
 
@@ -249,20 +231,16 @@ class TestChunkedReader:
     @given(
         width=st.integers(1, 3),
         label_at=st.none() | st.integers(0, 3),
-        grouped=st.booleans(),
         quoted_header=st.booleans(),
         data_=st.data(),
         newline=st.sampled_from(["\n", "\r\n"]),
         chunk=st.sampled_from([1, 2, 3, 512]),
         final_newline=st.booleans(),
     )
-    def test_chunks_read_as_the_cell_loop(self, tmp_path_factory, width, label_at, grouped, quoted_header, data_,
+    def test_chunks_read_as_the_cell_loop(self, tmp_path_factory, width, label_at, quoted_header, data_,
                                           newline, chunk, final_newline):
         names = ['"a\nb"' if quoted_header else "a"] + [f"x{j}" for j in range(1, width)]
         roles = ["feature"] * width
-        if grouped:
-            names.append("g")
-            roles.append("group")
         if label_at is not None:
             at = min(label_at, len(names))
             names.insert(at, "label")
@@ -288,27 +266,27 @@ class TestChunkedReader:
         path.write_bytes(text.encode())
         for label_required in (True, False):
             with mock.patch.object(data, "CSV_CHUNK", chunk):
-                calls = assert_read_as_the_loop(path, "g" if grouped else None, label_required)
+                calls = assert_read_as_the_loop(path, label_required)
             if change == "none" and newline == "\n" and rows and (label_at is not None or not label_required):
                 assert calls[0] is not None  # plain files take the chunked path
 
     @pytest.mark.parametrize("role,cell", [(role, cell) for role, cells in ODD_CELLS.items() for cell in cells])
     def test_each_odd_cell_reads_as_the_cell_loop(self, tmp_path, role, cell):
-        rows = [["1.5", "0", "12", "1"], ["-0.0", "1", "-3", "0"], ["7", "2", "0", "1"]]
-        rows[1][{"feature": 1, "group": 2, "label": 3}[role]] = cell
+        rows = [["1.5", "0", "1"], ["-0.0", "1", "0"], ["7", "2", "1"]]
+        rows[1][{"feature": 1, "label": 2}[role]] = cell
         path = tmp_path / "x.csv"
-        path.write_bytes(("a,b,g,label\n" + "".join(",".join(row) + "\n" for row in rows)).encode())
+        path.write_bytes(("a,b,label\n" + "".join(",".join(row) + "\n" for row in rows)).encode())
         for label_required in (True, False):
-            assert_read_as_the_loop(path, "g", label_required)
+            assert_read_as_the_loop(path, label_required)
 
     def test_plain_file_takes_the_chunked_path(self, tmp_path):
-        ds = Dataset(rng.standard_normal((3000, 4)), rng.integers(0, 2, 3000), group=rng.integers(-9, 9, 3000))
+        ds = Dataset(rng.standard_normal((3000, 4)), rng.integers(0, 2, 3000))
         save_csv(ds, tmp_path / "x.csv")
         calls = []
         with mock.patch.object(data, "_parse_chunks", spy_chunks(calls)):
-            back = load_csv(tmp_path / "x.csv", group_column="group")
+            back = load_csv(tmp_path / "x.csv")
         assert len(calls) == 1 and calls[0] is not None
-        assert back.features.tobytes() == ds.features.tobytes() and back.group.tobytes() == ds.group.tobytes()
+        assert back.features.tobytes() == ds.features.tobytes() and back.labels.tobytes() == ds.labels.tobytes()
 
     def test_short_row_after_the_first_chunk_keeps_its_line(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -73,6 +73,11 @@ class TestFitPca:
         with pytest.raises(ValueError):
             fit_pca(np.ones((1, 4)), 2)
 
+    @pytest.mark.parametrize("n_components", [2.7, 2.0, True, "2"])
+    def test_non_integer_width_rejected(self, n_components):
+        with pytest.raises(ValueError, match="n_components must be None or an integer"):
+            fit_pca(np.random.default_rng(0).standard_normal((6, 4)), n_components)
+
     def test_encode_dim_mismatch(self):
         lm = fit_pca(np.random.default_rng(0).standard_normal((6, 4)), 2)
         with pytest.raises(ValueError):

@@ -20,12 +20,10 @@ from explor.metrics import (
     auprc_truncated,
     auroc,
     bootstrap_variance,
-    diversity_stats,
     enrichment_factor,
     evaluate,
     pr_curve,
 )
-from explor.data import Dataset
 
 
 # ---------------------------------------------------------------- oracles
@@ -98,6 +96,14 @@ def random_scored_set(rng, n_max=8):
     # Coarse score values force plenty of ties.
     scores = rng.integers(0, 4, n) / 4.0
     return scores, labels
+
+
+# -------------------------------------------------------------- scored set
+
+class TestScoredSet:
+    def test_fractional_labels_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="0/1"):
+            ScoredSet([0.1, 0.2, 0.3], [0.9, 1.5, 0.0])
 
 
 # --------------------------------------------------------------- pr_curve
@@ -312,29 +318,6 @@ class TestBootstrapVariance:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             bootstrap_variance([[1.0, 2.0]])
-
-
-class TestDiversityStats:
-    def make_ds(self):
-        return Dataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, 0, 0], group=[0, 0, 1, 2])
-
-    def test_hand_case(self):
-        st = diversity_stats(self.make_ds(), [0.95, 0.92, 0.3, 0.2],
-                             confidence_threshold=0.9, top_fraction=0.5)
-        assert np.isclose(st.feature_variance_mean, 0.5, rtol=1e-12)
-        assert st.unique_group_count == 1
-        assert st.n_confident == 2 and st.n_top == 2
-
-    def test_too_few_confident_gives_zero(self):
-        st = diversity_stats(self.make_ds(), [0.95, 0.2, 0.1, 0.05],
-                             confidence_threshold=0.9, top_fraction=1.0)
-        assert st.feature_variance_mean == 0.0
-        assert st.unique_group_count == 3
-
-    def test_group_required(self):
-        ds = Dataset([[0.0], [1.0]], [1, 0])
-        with pytest.raises(ValueError, match="group"):
-            diversity_stats(ds, [0.9, 0.1])
 
 
 # ------------------------------------------------------------ eval report

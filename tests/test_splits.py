@@ -1,4 +1,4 @@
-"""k-means clustering, leave-one-cluster-out folds, and column splits."""
+"""k-means clustering and leave-one-cluster-out folds."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from explor.splits import (
     _assign,
     _lloyd,
     cluster_split,
-    column_split,
     kmeans,
     leave_one_out_folds,
     weighted_summary,
@@ -69,6 +68,11 @@ class TestKmeans:
         with pytest.raises(ValueError, match="2-d"):
             kmeans(np.zeros(4), 1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kmeans(np.arange(8.0).reshape(4, 2), k)
+
     def test_deterministic(self):
         Z = blobs(seed=6)
         assert np.array_equal(kmeans(Z, 3, seed=9), kmeans(Z, 3, seed=9))
@@ -90,17 +94,15 @@ class TestKmeans:
         assert len(set(labels.tolist())) == 3
 
 
-def grouped_ds(seed=0, n=120, d=5, k_groups=4):
+def random_ds(seed=0, n=120, d=5):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    y = (X[:, 0] > 0).astype(int)
-    g = rng.integers(0, k_groups, n)
-    return Dataset(X, y, group=g)
+    return Dataset(X, (X[:, 0] > 0).astype(int))
 
 
 class TestClusterSplit:
     def test_positive_assignment_is_kmeans_fixed_point(self):
-        ds = grouped_ds(seed=1)
+        ds = random_ds(seed=1)
         lm = fit_pca(ds.features, 3)
         model = cluster_split(ds, lm, k=3, seed=5)
         from explor.latent import encode
@@ -123,7 +125,7 @@ class TestClusterSplit:
             cluster_split(ds, lm, k=3)
 
     def test_folds_partition_dataset(self):
-        ds = grouped_ds(seed=3, n=90)
+        ds = random_ds(seed=3, n=90)
         lm = fit_pca(ds.features, 3)
         model = cluster_split(ds, lm, k=4, seed=2)
         folds = leave_one_out_folds(ds, model)
@@ -135,14 +137,14 @@ class TestClusterSplit:
             assert train.size + test.size == ds.n
 
     def test_empty_cluster_rejected(self):
-        ds = grouped_ds(seed=4, n=30)
+        ds = random_ds(seed=4, n=30)
         assignment = np.arange(30, dtype=np.int64) % 2  # cluster 2 never used
         model = ClusterModel(centroids=np.zeros((3, 2)), assignment=assignment)
         with pytest.raises(ValueError, match="empty"):
             leave_one_out_folds(ds, model)
 
     def test_single_cluster_rejected(self):
-        ds = grouped_ds(seed=5, n=30)
+        ds = random_ds(seed=5, n=30)
         model = ClusterModel(
             centroids=np.zeros((1, 2)), assignment=np.zeros(30, dtype=np.int64)
         )
@@ -150,39 +152,12 @@ class TestClusterSplit:
             leave_one_out_folds(ds, model)
 
     def test_assignment_shape_checked(self):
-        ds = grouped_ds(seed=6, n=30)
+        ds = random_ds(seed=6, n=30)
         model = ClusterModel(
             centroids=np.zeros((2, 2)), assignment=np.zeros(29, dtype=np.int64)
         )
         with pytest.raises(ValueError, match="shape"):
             leave_one_out_folds(ds, model)
-
-
-class TestColumnSplit:
-    def test_routes_by_group(self):
-        X = np.arange(12, dtype=np.float64).reshape(6, 2)
-        ds = Dataset(X, [0, 1, 0, 1, 0, 1], group=[0, 0, 1, 1, 2, 2])
-        train, test, train_idx, test_idx = column_split(ds, [1])
-        assert test_idx.tolist() == [2, 3] and train_idx.tolist() == [0, 1, 4, 5]
-        assert np.array_equal(test.features, X[2:4])
-        assert set(train.group.tolist()) == {0, 2}
-        assert set(test.group.tolist()) == {1}
-
-    def test_multiple_holdout_groups(self):
-        ds = grouped_ds(seed=7)
-        train, test, _, test_idx = column_split(ds, [0, 2])
-        assert set(test.group.tolist()) == {0, 2}
-        assert train.n + test.n == ds.n
-
-    def test_errors(self):
-        ds = grouped_ds(seed=8)
-        with pytest.raises(ValueError, match="no instances"):
-            column_split(ds, [99])
-        with pytest.raises(ValueError, match="whole dataset"):
-            column_split(ds, [0, 1, 2, 3])
-        plain = Dataset(ds.features, ds.labels)
-        with pytest.raises(ValueError, match="group"):
-            column_split(plain, [0])
 
 
 class TestWeightedSummary:
