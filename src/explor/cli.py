@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as me
-from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, _parse_chunks, load_csv, load_features, make_synthetic_radial, same_kind, save_csv, subsample, write_csv
+from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, _read_csv, load_csv, load_features, make_synthetic_radial, read_header, read_records, same_kind, save_csv, subsample, write_csv
 from .latent import fit_pca
 from .model import (
     LOSS_MODES,
@@ -270,59 +270,36 @@ def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, inclu
 def _read_predictions(path: str, n: int) -> np.ndarray:
     """The n finite scores of a predictions file, one for each dataset row.
 
-    The lines are parsed a chunk at a time by the dataset reader's fast path
-    (``data._parse_chunks``, reading the score as the one feature and the
-    index as its integer column); a file that path declines, or whose indices
-    or scores are out of range, is read again from line 2 by the per-line
-    loop (:func:`_parse_score_lines`), whose errors name the line.
+    After the header check the file is read by the dataset reader
+    (:func:`data.read_records`), with the index as its integer column and the
+    score as the one feature, so a bad cell names its line and column. An
+    index out of range or a score that is not finite then names its line.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = read_header(path, reader) or []
         if header[:2] != ["index", "score"]:
             raise ConfigError(f"{path}: expected header starting with index,score")
-        scores = np.full(n, np.nan)
-        parsed = _parse_chunks(fh, len(header), [1], None, 0)
-        if parsed is not None:
-            vals, _, idx = parsed
-            vals = vals[:, 0]
-        if parsed is not None and np.all((idx >= 0) & (idx < n)) and np.isfinite(vals).all():
-            scores[idx] = vals
-            count = len(idx)
-        else:
-            fh.seek(0)
-            fh.readline()
-            count = _parse_score_lines(path, fh, scores)
-    if count != n or np.isnan(scores).any():
+        vals, _, idx, lines = read_records(path, reader, header, [1], index_idx=0)
+    vals = vals[:, 0]
+    bad = (idx < 0) | (idx >= n) | ~np.isfinite(vals)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if not 0 <= idx[r] < n:
+            raise ConfigError(f"{path}: line {lines[r]}: index {idx[r]} out of range for {n} rows")
+        raise ConfigError(f"{path}: line {lines[r]}: score {float(vals[r])!r} is not finite")
+    scores = np.full(n, np.nan)
+    scores[idx] = vals
+    if len(idx) != n or np.isnan(scores).any():
         raise ConfigError(f"{path}: expected exactly one score per dataset row (0..{n - 1})")
     return scores
 
 
-def _parse_score_lines(path: str, fh, scores: np.ndarray) -> int:
-    """Fill ``scores`` from the lines left in ``fh``, one at a time, and count them."""
-    n = len(scores)
-    count = 0
-    for lineno, line in enumerate(fh, start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            i = int(parts[0])
-            s = float(parts[1])
-        except (ValueError, IndexError):
-            raise ConfigError(f"{path}: line {lineno}: bad row {line!r}") from None
-        if not 0 <= i < n:
-            raise ConfigError(f"{path}: line {lineno}: index {i} out of range for {n} rows")
-        if not math.isfinite(s):
-            raise ConfigError(f"{path}: line {lineno}: score {s!r} is not finite")
-        scores[i] = s
-        count += 1
-    return count
-
-
 def cmd_eval(cfg: dict, predictions_path: str, data_path: str, out_dir: str, write_pr: bool = True) -> dict:
-    ds = _load_dataset(cfg, data_path)
-    scores = _read_predictions(predictions_path, ds.n)
-    scored = me.ScoredSet(scores, ds.labels)
+    # Ranking needs only the labels, so no feature cell is parsed.
+    _, labels, _ = _read_csv(data_path, cfg["label_column"], label_required=True, features=False)
+    scores = _read_predictions(predictions_path, len(labels))
+    scored = me.ScoredSet(scores, labels)
     report = me.evaluate(scored, taus=cfg["metrics"]["taus"], ef_fractions=cfg["metrics"]["ef_fractions"])
     paths = {"report": f"{out_dir}/report.json"}
     write_json(paths["report"], report.to_dict())
@@ -586,6 +563,9 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,6 +3,11 @@
 A :class:`Dataset` is a frozen bundle of a float64 feature matrix and binary
 labels. All randomized operations take explicit seeds; calling twice with the
 same seed yields identical results.
+
+Every CSV input, data sets and predictions files alike, is read by one
+reader, :func:`read_records`: ``csv.reader`` records ``CSV_CHUNK`` at a time,
+a plain chunk converted at once and any other chunk by the per-record loop,
+whose errors name the line and column.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ class DatasetError(ValueError):
     """Malformed dataset input (parse failures, bad labels, empty files)."""
 
 
-# CSV files are read and written this many lines at a time.
+# CSV files are read this many records, and written this many rows, at a time.
 CSV_CHUNK = 512
 
 
@@ -187,7 +192,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
 
     Every column other than ``label_column`` is parsed as a float feature, in
     header order. Labels must be 0/1 or true/false. Parse failures are
-    reported with their row and column.
+    reported with their line and column.
     """
     X, labels, names = _read_csv(path, label_column, label_required=True)
     return Dataset(X, labels, feature_names=names)
@@ -205,20 +210,17 @@ def load_features(path, label_column: str = "label") -> np.ndarray:
     return X
 
 
-def _read_csv(path, label_column, label_required):
+def _read_csv(path, label_column, label_required, features=True):
     """(features, labels or None, feature names) of a headed CSV file.
 
-    The data lines are parsed a chunk at a time (:func:`_parse_chunks`). A file
-    that path declines is read again from line 2 by the per-cell loop
-    (:func:`_parse_records`), whose errors name the line and column.
+    With ``features`` False no feature cell is parsed and the features are
+    (N, 0); the field counts and the labels are still checked.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = read_header(path, reader)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
         label_idx = None
         if label_column in header:
             label_idx = header.index(label_column)
@@ -229,95 +231,112 @@ def _read_csv(path, label_column, label_required):
         feat_idx = [i for i in range(len(header)) if i != label_idx]
         if not feat_idx:
             raise DatasetError(f"{path}: no feature columns")
-        parsed = _parse_chunks(fh, len(header), feat_idx, label_idx, None)
-        if parsed is None:
-            fh.seek(0)
-            next(reader)
-            parsed = _parse_records(path, reader, header, feat_idx, label_idx)
-    if len(parsed[0]) == 0:
-        raise DatasetError(f"{path}: no data rows")
-    return parsed[0], parsed[1], [header[i] for i in feat_idx]
+        X, labels, _, _ = read_records(path, reader, header, feat_idx if features else [], label_idx)
+    return X, labels, [header[i] for i in feat_idx]
 
 
-def _line_chunks(fh):
-    """Lists of the next at most ``CSV_CHUNK`` lines of the text file ``fh``, until it ends."""
-    while lines := list(itertools.islice(fh, CSV_CHUNK)):
-        yield lines
+def _next_records(path, reader, count: int) -> list:
+    """The next at most ``count`` records of ``reader``; a ``csv.Error`` is a DatasetError naming its line."""
+    try:
+        return list(itertools.islice(reader, count))
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _parse_chunks(fh, width, feat_idx, label_idx, index_idx):
-    """(features, labels or None, indices or None) of the lines left in ``fh``, or None to decline.
+def read_header(path, reader):
+    """The stripped names of the first record of ``reader``, or None for an empty file."""
+    first = _next_records(path, reader, 1)
+    return [h.strip() for h in first[0]] if first else None
 
-    Each chunk is split on commas and its features parsed at once by
-    ``np.array(cells, dtype=np.float64)``, which calls ``float()`` on each
-    cell as the loop does. Only plain input passes: the path declines on a
-    quote, CR or NUL, a cell longer than ``csv`` reads, a row of another
-    width, a feature ``float()`` rejects (so a blank line), a label other
-    than exactly ``0`` or ``1``, or an integer index (the ``index`` column of
-    a predictions file) that ``int()`` rejects or int64 cannot hold.
+
+def read_records(path, reader, header, feat_idx, label_idx=None, index_idx=None):
+    """(features, labels or None, indices or None, line numbers) of the records left in ``reader``.
+
+    The records are taken ``CSV_CHUNK`` at a time. A plain chunk is
+    converted at once (:func:`_convert_chunk`); any other chunk goes through
+    the per-record loop (:func:`_parse_records`), which gives the same
+    arrays where the chunk is plain and names the line and column of every
+    error. Features are float64 (N, len(feat_idx)), the labels and the
+    integer column ``index_idx`` int64 (N,), and each row's line number, the
+    header's being 1, int64 (N,). A file with no data rows is an error.
     """
-    features = itemgetter(*feat_idx)
-    limit = csv.field_size_limit()
-    X, labels, indices = [], [], []
-    for lines in _line_chunks(fh):
-        text = "".join(lines)
-        if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
-            return None
-        rows = [line.split(",") for line in text.removesuffix("\n").split("\n")]
-        if set(map(len, rows)) != {width}:
-            return None
-        m = len(rows)
-        try:
-            X.append(np.array(list(map(features, rows)), dtype=np.float64).reshape(m, len(feat_idx)))
-            if index_idx is not None:
-                indices.append(np.fromiter(map(int, map(itemgetter(index_idx), rows)), np.int64, m))
-        except (ValueError, OverflowError):
-            return None
+    parts = []
+    lineno = 2
+    while records := _next_records(path, reader, CSV_CHUNK):
+        parts.append(
+            _convert_chunk(records, lineno, len(header), feat_idx, label_idx, index_idx)
+            or _parse_records(path, records, lineno, header, feat_idx, label_idx, index_idx)
+        )
+        lineno += len(records)
+    if not any(len(part[3]) for part in parts):
+        raise DatasetError(f"{path}: no data rows")
+    return tuple(None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*parts))
+
+
+# The only label cells a plain chunk holds, and their values.
+_BITS = {"0": 0, "1": 1}
+
+
+def _convert_chunk(records, lineno, width, feat_idx, label_idx, index_idx):
+    """What :func:`_parse_records` gives for a plain chunk of ``records``, or None for any other.
+
+    Plain means the header's field count on every record, features that
+    ``np.array(cells, dtype=np.float64)`` takes (it calls ``float()`` on each
+    cell, as the loop does), labels exactly ``0`` or ``1`` and an integer
+    column that ``int()`` takes and int64 holds. Blank lines, ``true`` or
+    padded labels and every error go to the loop.
+    """
+    m = len(records)
+    if set(map(len, records)) != {width}:
+        return None
+    try:
+        X = np.array(list(map(itemgetter(*feat_idx), records)) if feat_idx else [()] * m, dtype=np.float64)
+        labels = indices = None
         if label_idx is not None:
-            cells = list(map(itemgetter(label_idx), rows))
-            if not set(cells) <= {"0", "1"}:
-                return None
-            labels.append(np.fromiter(map(int, cells), np.int64, m))
-    if not X:
-        return None  # no data lines: the loop finds none either, and says so
-    return (
-        np.concatenate(X),
-        np.concatenate(labels) if label_idx is not None else None,
-        np.concatenate(indices) if index_idx is not None else None,
-    )
+            labels = np.fromiter(map(_BITS.__getitem__, map(itemgetter(label_idx), records)), np.int64, m)
+        if index_idx is not None:
+            indices = np.fromiter(map(int, map(itemgetter(index_idx), records)), np.int64, m)
+    except (ValueError, OverflowError, KeyError):
+        return None
+    return X.reshape(m, len(feat_idx)), labels, indices, np.arange(lineno, lineno + m)
 
 
-def _parse_records(path, reader, header, feat_idx, label_idx):
-    """(features, labels or None) of the records left in ``reader``, one cell at a time."""
-    label_column = None if label_idx is None else header[label_idx]
-    rows, labels = [], []
-    for lineno, rec in enumerate(reader, start=2):
+def _parse_records(path, records, lineno, header, feat_idx, label_idx, index_idx):
+    """What :func:`read_records` gives for ``records``, the first on line ``lineno``, one cell at a time."""
+    rows, labels, indices, lines = [], [], [], []
+    for lineno, rec in enumerate(records, start=lineno):
         if not rec or (len(rec) == 1 and rec[0].strip() == ""):
             continue
         if len(rec) != len(header):
             raise DatasetError(f"{path}: line {lineno} has {len(rec)} fields, expected {len(header)}")
         if label_idx is not None:
             raw = rec[label_idx].strip().lower()
-            if raw in ("0", "1"):
-                labels.append(int(raw))
-            elif raw in ("true", "false"):
-                labels.append(1 if raw == "true" else 0)
-            else:
+            if raw not in ("0", "1", "true", "false"):
                 raise DatasetError(
-                    f"{path}: line {lineno}, column {label_column!r}: label {rec[label_idx]!r} not in 0/1/true/false"
+                    f"{path}: line {lineno}, column {header[label_idx]!r}: label {rec[label_idx]!r} not in 0/1/true/false"
                 )
+            labels.append(int(raw in ("1", "true")))
+        if index_idx is not None:
+            try:
+                indices.append(int(rec[index_idx]))
+                np.int64(indices[-1])  # OverflowError outside int64
+            except (ValueError, OverflowError):
+                raise DatasetError(
+                    f"{path}: line {lineno}, column {header[index_idx]!r}: not a 64-bit integer: {rec[index_idx]!r}"
+                ) from None
         vals = []
         for i in feat_idx:
             try:
                 vals.append(float(rec[i]))
             except ValueError:
-                raise DatasetError(
-                    f"{path}: line {lineno}, column {header[i]!r}: not a number: {rec[i]!r}"
-                ) from None
+                raise DatasetError(f"{path}: line {lineno}, column {header[i]!r}: not a number: {rec[i]!r}") from None
         rows.append(vals)
+        lines.append(lineno)
     return (
-        np.array(rows, dtype=np.float64),
+        np.array(rows, dtype=np.float64).reshape(len(rows), len(feat_idx)),
         np.array(labels, dtype=np.int64) if label_idx is not None else None,
+        np.array(indices, dtype=np.int64) if index_idx is not None else None,
+        np.array(lines, dtype=np.int64),
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explor import cli, data
+from explor import data
 from explor.cli import (
     FLAG_MAP,
     ConfigError,
@@ -29,7 +29,7 @@ from explor.cli import (
     resolve_config,
     run_stability,
 )
-from explor.data import Dataset, load_csv, make_synthetic_radial, save_csv
+from explor.data import Dataset, DatasetError, load_csv, make_synthetic_radial, save_csv
 from explor.model import load_bundle
 
 
@@ -378,6 +378,24 @@ class TestSynth:
     def test_invalid_size_exit_code(self, tmp_path):
         assert main(["synth", "--n-id", "3", "--output-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n-id", "1000000000000000"],
+        ["fit", "--method", "erm", "--hidden", "100000000000000000"],
+    ], ids=["synth_rows", "fit_width"])
+    def test_request_beyond_memory_exits_two(self, workdir, capsys, argv):
+        """An array larger than the address space is one error line and exit code 2, not a traceback.
+
+        The first array each command allocates from the request is petabytes
+        (the synthetic draw; the first trunk layer), so no memory is touched.
+        """
+        tmp_path, cfg_path = workdir
+        if argv[0] == "fit":
+            argv = argv + ["--train", str(tmp_path / "train.csv")]
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+
     def test_label_column_named_like_a_feature_exits_one(self, tmp_path, capsys):
         # synth names its features x0..x{d-1}; a file headed x0,x1,x2,x0 could not be fit.
         cfg_path = tmp_path / "config.json"
@@ -487,29 +505,31 @@ class TestFitPredictEval:
     @given(
         cells=st.lists(
             st.tuples(
-                st.sampled_from(["0", "1", "2", "-1", "+1", " 1", "1_0", "x", "", "3\n\n", "99999999999999999999"]),
-                st.sampled_from(["0.5", "-0.0", "1e-300", "nan", "inf", "1e999", " 0.25 ", "1_5", "x", ""]),
+                st.sampled_from(["0", "1", "2", "-1", "+1", " 1", "1_0", "x", "", "3\n\n", "99999999999999999999", '"1"']),
+                st.sampled_from(["0.5", "-0.0", "1e-300", "nan", "inf", "1e999", " 0.25 ", "1_5", "x", "", '"0.5"', '"1,5"']),
                 st.sampled_from(["", ",0.5", ",1.0,0.0"]),
             ),
             max_size=6,
         ),
+        heads=st.sampled_from(["", ",head_0"]),
+        newline=st.sampled_from(["\n", "\r\n"]),
         chunk=st.sampled_from([1, 2, 512]),
     )
-    def test_chunked_predictions_read_as_the_line_loop(self, tmp_path_factory, cells, chunk):
-        """Where the chunked path of the predictions reader returns, it gives the loop's scores; else the loop's error."""
+    def test_chunked_predictions_read_as_the_line_loop(self, tmp_path_factory, cells, heads, newline, chunk):
+        """Where the chunk converter returns, the predictions reader gives the per-record loop's scores; else the loop's error."""
         path = tmp_path_factory.mktemp("preds") / "p.csv"
-        path.write_text("index,score\n" + "".join(f"{i},{s}{rest}\n" for i, s, rest in cells))
+        path.write_bytes((f"index,score{heads}{newline}" + "".join(f"{i},{s}{rest}{newline}" for i, s, rest in cells)).encode())
 
         def outcome():
             try:
                 return _read_predictions(str(path), 3).tobytes()
-            except ConfigError as exc:
+            except (ConfigError, DatasetError) as exc:
                 return str(exc)
 
         with mock.patch.object(data, "CSV_CHUNK", chunk):
             fast = outcome()
-        with mock.patch.object(cli, "_parse_chunks", lambda *args: None):
-            assert fast == outcome()
+            with mock.patch.object(data, "_convert_chunk", lambda *args: None):
+                assert fast == outcome()
 
     def test_missing_data_file_exit_code(self, workdir):
         tmp_path, cfg_path = workdir
@@ -522,6 +542,80 @@ class TestFitPredictEval:
             "--output-dir", str(tmp_path), "--learning-rate", "1e8", "--iterations", "80",
         ]
         assert main(args) == 2
+
+    def eval_args(self, tmp_path, cfg_path, predictions, data):
+        return ["eval", "--predictions", str(predictions), "--data", str(data), "--config", str(cfg_path), "--output-dir", str(tmp_path)]
+
+    @pytest.mark.parametrize("role", ["data", "predictions"])
+    def test_oversized_cell_exits_one_naming_its_line(self, workdir, capsys, role):
+        """A cell longer than csv's field limit is a data error with its file and line, not a traceback."""
+        tmp_path, cfg_path = workdir
+        self.run_chain(tmp_path, cfg_path)
+        big = tmp_path / "big.csv"
+        if role == "data":
+            lines = (tmp_path / "train.csv").read_text().splitlines()
+            lines[3] = "1" * 200_000 + lines[3][lines[3].index(","):]
+            args = ["fit", "--train", str(big), "--config", str(cfg_path), "--output-dir", str(tmp_path)]
+        else:
+            lines = (tmp_path / "predictions.csv").read_text().splitlines()
+            lines[3] = "2," + "5" * 200_000
+            args = self.eval_args(tmp_path, cfg_path, big, tmp_path / "ood_test.csv")
+        big.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {big}: line 4: field larger than field limit (131072)\n"
+
+    def test_eval_reads_only_the_labels(self, workdir, capsys):
+        """A feature cell that is not a number does not stop eval; a bad label or a short row still does."""
+        tmp_path, cfg_path = workdir
+        self.run_chain(tmp_path, cfg_path)
+        report, curve = (tmp_path / "report.json").read_bytes(), (tmp_path / "pr_curve.csv").read_bytes()
+        lines = (tmp_path / "ood_test.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[0] = "oops"
+        lines[4] = ",".join(cells)
+        odd = tmp_path / "odd.csv"
+        odd.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "odd_out"
+        args = self.eval_args(out, cfg_path, tmp_path / "predictions.csv", odd)
+        assert main(args) == 0
+        assert (out / "report.json").read_bytes() == report and (out / "pr_curve.csv").read_bytes() == curve
+        for bad, err in ((cells[:-1] + ["7"], "line 5, column 'label': label '7' not in 0/1/true/false"),
+                         (cells[:-1], "line 5 has 3 fields, expected 4")):
+            lines[4] = ",".join(bad)
+            odd.write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            assert main(args) == 1
+            assert capsys.readouterr().err == f"error: {odd}: {err}\n"
+
+    @pytest.mark.parametrize("row,err", [
+        ("0,0.5,0.5", "line 2 has 3 fields, expected 2"),
+        ("0,x", "line 2, column 'score': not a number: 'x'"),
+        ("y,0.5", "line 2, column 'index': not a 64-bit integer: 'y'"),
+    ], ids=["extra_field", "bad_score", "bad_index"])
+    def test_bad_predictions_row_names_its_line_and_column(self, workdir, capsys, row, err):
+        """A predictions row has the header's field count, and a bad cell names its line and column."""
+        tmp_path, cfg_path = workdir
+        self.run_chain(tmp_path, cfg_path)
+        preds = (tmp_path / "predictions.csv").read_text().splitlines()
+        preds[1] = row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(preds) + "\n")
+        capsys.readouterr()
+        assert main(self.eval_args(tmp_path, cfg_path, bad, tmp_path / "ood_test.csv")) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {err}\n"
+
+    def test_quoted_predictions_read_as_plain(self, workdir):
+        """Quoted cells and CRLF line ends in a predictions file give the same report as the plain file."""
+        tmp_path, cfg_path = workdir
+        self.run_chain(tmp_path, cfg_path)
+        report = (tmp_path / "report.json").read_bytes()
+        preds = (tmp_path / "predictions.csv").read_text().splitlines()
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text("\r\n".join([preds[0]] + ['"' + line.replace(",", '","') + '"' for line in preds[1:]]) + "\r\n")
+        out = tmp_path / "out"
+        assert main(self.eval_args(out, cfg_path, quoted, tmp_path / "ood_test.csv")) == 0
+        assert (out / "report.json").read_bytes() == report
 
 
 def strip_column(src, dst, name):

@@ -195,18 +195,18 @@ def read_outcome(path, label_required):
 
 
 def assert_read_as_the_loop(path, label_required):
-    """Check that ``_read_csv`` gives what its per-cell loop alone gives; returns what ``_parse_chunks`` returned."""
+    """Check that ``_read_csv`` gives what its per-record loop alone gives; returns what ``_convert_chunk`` returned."""
     calls = []
-    with mock.patch.object(data, "_parse_chunks", spy_chunks(calls)):
+    with mock.patch.object(data, "_convert_chunk", spy_chunks(calls)):
         fast = read_outcome(path, label_required)
-    with mock.patch.object(data, "_parse_chunks", lambda *args: None):
+    with mock.patch.object(data, "_convert_chunk", lambda *args: None):
         assert fast == read_outcome(path, label_required)
     return calls
 
 
 def spy_chunks(calls):
-    """``_parse_chunks`` recording each result in ``calls``."""
-    real = data._parse_chunks
+    """``_convert_chunk`` recording each result in ``calls``."""
+    real = data._convert_chunk
 
     def spy(*args):
         calls.append(real(*args))
@@ -216,7 +216,7 @@ def spy_chunks(calls):
 
 
 PLAIN_CELLS = {"feature": ["1.5", "-0.0", "7", "1e-300"], "label": ["0", "1"]}
-# Cells that the chunked reader must parse, or decline to the loop, exactly as the loop does.
+# Cells that the chunk converter must parse, or decline to the loop, exactly as the loop does.
 ODD_CELLS = {
     "feature": ["5e-324", " 2 ", "1_0", "١٢", "+.5", "1e999", "nan", "-inf", "0x10", "", "x", "1.0\x00", '"3.5"',
                 '"1,5"', "2\r"],
@@ -225,7 +225,7 @@ ODD_CELLS = {
 
 
 class TestChunkedReader:
-    """Where the chunked path of ``_read_csv`` returns, it returns what the per-cell loop returns."""
+    """Where the chunk converter of ``_read_csv`` returns, it returns what the per-record loop returns."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
@@ -267,8 +267,8 @@ class TestChunkedReader:
         for label_required in (True, False):
             with mock.patch.object(data, "CSV_CHUNK", chunk):
                 calls = assert_read_as_the_loop(path, label_required)
-            if change == "none" and newline == "\n" and rows and (label_at is not None or not label_required):
-                assert calls[0] is not None  # plain files take the chunked path
+            if change == "none" and rows and (label_at is not None or not label_required):
+                assert calls and None not in calls  # every chunk of a plain file is converted at once
 
     @pytest.mark.parametrize("role,cell", [(role, cell) for role, cells in ODD_CELLS.items() for cell in cells])
     def test_each_odd_cell_reads_as_the_cell_loop(self, tmp_path, role, cell):
@@ -283,9 +283,9 @@ class TestChunkedReader:
         ds = Dataset(rng.standard_normal((3000, 4)), rng.integers(0, 2, 3000))
         save_csv(ds, tmp_path / "x.csv")
         calls = []
-        with mock.patch.object(data, "_parse_chunks", spy_chunks(calls)):
+        with mock.patch.object(data, "_convert_chunk", spy_chunks(calls)):
             back = load_csv(tmp_path / "x.csv")
-        assert len(calls) == 1 and calls[0] is not None
+        assert len(calls) == math.ceil(3000 / data.CSV_CHUNK) and None not in calls
         assert back.features.tobytes() == ds.features.tobytes() and back.labels.tobytes() == ds.labels.tobytes()
 
     def test_short_row_after_the_first_chunk_keeps_its_line(self, tmp_path):
