@@ -135,6 +135,8 @@ def load_config(path: str | None) -> dict:
             doc = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return _merge_config(DEFAULTS, doc)

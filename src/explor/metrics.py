@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,7 +126,8 @@ def enrichment_factor(s: ScoredSet, top_fraction: float) -> float:
     if not (0.0 < top_fraction <= 1.0):
         raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
     _require_positive(s, "enrichment_factor")
-    n_top = math.ceil(top_fraction * s.n)
+    # The fraction's decimal value, so 0.07 of 100 rows is 7, not ceil(7.000000000000001).
+    n_top = math.ceil(Fraction(repr(float(top_fraction))) * s.n)
     hits = int(s.labels[s.ranking()[:n_top]].sum())
     return (hits / n_top) / (s.positives / s.n)
 

@@ -432,6 +432,8 @@ def load_bundle(path) -> TrainedBundle:
     with open(path) as fh:
         try:
             return TrainedBundle.from_dict(json.load(fh))
+        except RecursionError:
+            raise ValueError(f"{path}: malformed bundle: JSON nested too deeply") from None
         except KeyError as exc:
             raise ValueError(f"{path}: malformed bundle: missing key {exc}") from None
         except (TypeError, AttributeError, IndexError, ValueError) as exc:
@@ -460,7 +462,7 @@ def _fit_net(Z, targets, heads: int, cfg: NetConfig, expansion=None, snapshot_in
     for it, idx in zip(range(1, cfg.iterations + 1), batches):
         Zx, Gx = (None, None) if expansion is None else expansion(idx)
         total, parts, grads = loss_and_grads(net, Z[idx], targets[idx], Zx, Gx, cfg)
-        _check_finite(grads, "gradient in", None)
+        _check_finite(grads, "gradient in", trace)
         opt.step(grads)
         _check_finite(net.params, "parameter after the update:", trace)
         trace.append((parts["match"], parts["mean"], parts["expand"]))

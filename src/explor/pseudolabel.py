@@ -27,14 +27,12 @@ one, as a recursive grower numbers them; so a tree has the same bytes
 whatever block it grew in. Tree feature indices always refer to the
 original columns.
 
-Prediction lays every tree of every labeler out as a complete binary tree
-of depth D, the depth of the deepest tree grown, in heap order: node i has
-children 2i+1 and 2i+2. A leaf above depth D becomes a pad node (feature 0,
-threshold +inf) whose vote is copied into both subtrees, so every row takes
-exactly D steps. Each step is one flat gather of feature and
-threshold for all trees and rows at once, one gather of X, and
-``idx = 2*idx + 1 + go_right``. Rows go right iff not x <= threshold, so a
-NaN goes right.
+Prediction walks the trees' own nodes, concatenated into flat arrays: a
+leaf has threshold NaN and links to itself on both sides. Each of D steps,
+D the depth of the deepest tree, is one flat gather of feature and
+threshold for all trees and rows at once, one gather of X and one of the
+child. Rows go left iff x <= threshold, so a NaN goes right and a row at a
+leaf stays there.
 """
 
 from __future__ import annotations
@@ -87,7 +85,8 @@ class Tree:
     ``feature[i] == -1`` marks a leaf; ``value[i]`` is the node's positive
     fraction. Internal nodes route left iff x[feature] <= threshold. The
     arrays are checked on construction, so a bundle's tree cannot link into
-    a neighbouring tree of the packed tables.
+    a neighbouring tree of the packed tables, back to its root or twice to
+    one node.
     """
 
     def __init__(self, feature, threshold, left, right, value):
@@ -108,6 +107,10 @@ class Tree:
         children = np.concatenate([self.left[internal], self.right[internal]])
         if np.any((children < 0) | (children >= n)):
             raise ValueError(f"tree child index outside [0, {n})")
+        # No link to the root and none twice: what the root reaches is a tree.
+        links = np.bincount(children, minlength=n)
+        if links[0] or links.max() > 1:
+            raise ValueError("tree child links must reach each node at most once and never the root")
         if not np.all((self.value >= 0.0) & (self.value <= 1.0)):
             raise ValueError("tree node values must be in [0, 1]")
 
@@ -303,38 +306,29 @@ class PseudoLabelEnsemble:
         self._pack()
 
     def _pack(self):
-        nt = len(self.trees)
         sizes = np.array([t.n_nodes for t in self.trees])
-        start = np.cumsum(sizes) - sizes
+        self._roots = np.cumsum(sizes) - sizes
         feature = np.concatenate([t.feature for t in self.trees]).astype(np.intp)
-        threshold = np.concatenate([t.threshold for t in self.trees])
-        shift = np.repeat(start, sizes)
-        left = np.concatenate([t.left for t in self.trees]) + shift
-        right = np.concatenate([t.right for t in self.trees]) + shift
-        # One level of the complete trees at a time: node[t, i] is the real
-        # node that heap slot i of tree t stands for; a leaf stands for all
-        # of its pad descendants.
-        node = start[:, None]
-        feats, thrs = [], []
-        while True:
-            internal = feature[node] >= 0
-            if not internal.any():
-                break
-            if len(feats) >= self.config.max_depth:
-                raise ValueError(f"a tree is deeper than max_depth={self.config.max_depth}")
-            feats.append(np.where(internal, feature[node], 0))
-            thrs.append(np.where(internal, threshold[node], np.inf))
-            children = np.empty((nt, 2 * node.shape[1]), dtype=np.intp)
-            children[:, 0::2] = np.where(internal, left[node], node)
-            children[:, 1::2] = np.where(internal, right[node], node)
-            node = children
-        self._depth = len(feats)
-        # (nt, 2^D - 1) tables; the zero-width first block keeps D = 0 (root-only trees) valid.
-        self._feat = np.concatenate([np.zeros((nt, 0), np.intp), *feats], axis=1)
-        self._thr = np.concatenate([np.zeros((nt, 0)), *thrs], axis=1)
-        self._leaf_vote = np.concatenate([t.value for t in self.trees])[node] >= self.config.decision_threshold
+        leaf = feature < 0
         # Rows need at least this many columns: one more than the largest split feature id.
         self.n_features = int(feature.max()) + 1
+        self._feat = np.where(leaf, 0, feature)
+        self._thr = np.where(leaf, np.nan, np.concatenate([t.threshold for t in self.trees]))
+        self._vote = np.concatenate([t.value for t in self.trees]) >= self.config.decision_threshold
+        # Row i holds node i's right, then left child, so flat entry 2i + go_left is
+        # where a row goes from node i; a leaf is its own child.
+        links = np.stack([np.concatenate([t.right for t in self.trees]), np.concatenate([t.left for t in self.trees])], axis=1)
+        shift = np.repeat(self._roots, sizes)[:, None]
+        self._children = np.where(leaf[:, None], np.arange(leaf.size)[:, None], links + shift)
+        # The deepest tree's depth, one level of real nodes at a time.
+        self._depth = 0
+        level = self._roots[~leaf[self._roots]]
+        while level.size:
+            if self._depth >= self.config.max_depth:
+                raise ValueError(f"a tree is deeper than max_depth={self.config.max_depth}")
+            self._depth += 1
+            level = self._children[level].ravel()
+            level = level[~leaf[level]]
 
     @property
     def k(self) -> int:
@@ -346,21 +340,13 @@ class PseudoLabelEnsemble:
         if X.ndim != 2 or X.shape[1] < self.n_features:
             raise ValueError(f"expected shape (N, >= {self.n_features}), got {X.shape}")
         n, d = X.shape
-        nt, inner = self._feat.shape
-        # take() reads the tables and X as flat arrays: tree t's slot i is
-        # at t * width + i, and X[r, f] is at r * d + f.
-        base = (np.arange(nt) * inner)[:, None]
+        # take() reads X as a flat array: X[r, f] is at r * d + f.
         row = (np.arange(n) * d)[None, :]
-        idx = np.zeros((nt, n), dtype=np.intp)
+        node = np.repeat(self._roots[:, None], n, axis=1)
         for _ in range(self._depth):
-            node = base + idx
             go_left = X.take(self._feat.take(node) + row) <= self._thr.take(node)
-            # idx = 2*idx + 1 + go_right, in place.
-            idx *= 2
-            idx += 2
-            idx -= go_left
-        idx += (np.arange(nt) * (inner + 1))[:, None] - inner
-        votes = self._leaf_vote.take(idx).reshape(self.k, self.config.trees_per_labeler, n)
+            node = self._children.take(2 * node + go_left)
+        votes = self._vote.take(node).reshape(self.k, self.config.trees_per_labeler, n)
         return (votes.mean(axis=1) >= 0.5).T.astype(np.int64)
 
     def ensemble_mean(self, X) -> np.ndarray:

@@ -270,6 +270,16 @@ class TestNonFiniteConfig:
         assert code == 1 and f"non-finite number {constant}" in capsys.readouterr().err
         assert not (tmp_path / "bundle.json").exists()
 
+    def test_deeply_nested_config_file_exits_one(self, workdir, capsys):
+        tmp_path, _ = workdir
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100000)
+        capsys.readouterr()
+        code = main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "deep.json: not valid JSON" in err and "Traceback" not in err
+        assert not (tmp_path / "bundle.json").exists()
+
     @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400], ids=["1e999", "int_of_401_digits"])
     def test_number_beyond_a_double_in_config_file_exits_one(self, workdir, capsys, literal):
         # json parses 1e999 to inf without the NaN/Infinity tokens; a 401-digit int fits no double.
@@ -677,7 +687,7 @@ class TestMalformedBundle:
         # An integer field holding a float or a bool, which was truncated or raised a TypeError.
         "config_k_float", "config_trees_per_labeler_bool", "config_min_leaf_float", "net_heads_float",
         "net_hidden_float", "net_input_dim_float", "net_param_shape_float", "net_config_batch_size_float",
-        "tree_feature_float", "tree_left_bool",
+        "tree_feature_float", "tree_left_bool", "tree_root_links_share_a_child",
     ])
     def test_predict_exits_one_without_traceback(self, workdir, capsys, breakage):
         tmp_path, base, doc = self.fitted(workdir)
@@ -724,6 +734,8 @@ class TestMalformedBundle:
             # A preorder root's left child is node 1, which True would pass for.
             assert tree["left"][0] == 1
             tree["left"][0] = True
+        elif breakage == "tree_root_links_share_a_child":
+            tree["right"][0] = tree["left"][0]
         else:
             doc["net"] = None
         (tmp_path / "broken.json").write_text(json.dumps(doc))
@@ -732,6 +744,16 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert code == 1
         assert "malformed bundle" in err and "Traceback" not in err
+
+    def test_deeply_nested_bundle_exits_one(self, workdir, capsys):
+        tmp_path, cfg_path = workdir
+        (tmp_path / "deep.json").write_text("[" * 100000)
+        capsys.readouterr()
+        code = main(["predict", "--bundle", str(tmp_path / "deep.json"), "--data", str(tmp_path / "ood_test.csv"),
+                     "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "deep.json: malformed bundle" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("method", ["explor", "pl_ens"])
     def test_latent_map_narrower_than_its_parts_exits_one(self, workdir, capsys, method):

@@ -292,6 +292,9 @@ class TestEnrichmentFactor:
         assert np.isclose(enrichment_factor(s, 0.26), 1.0, rtol=1e-12)
         # ceil(0.5 * 4) = 2 as well.
         assert enrichment_factor(s, 0.26) == enrichment_factor(s, 0.5)
+        # 0.07 * 100 is 7.000000000000001 in doubles; the top set is still 7 rows.
+        s = ScoredSet(np.arange(100, 0, -1), [1] * 7 + [0] * 93)
+        assert enrichment_factor(s, 0.07) == 1.0 / 0.07
 
 
 # ------------------------------------------------------- variance reports

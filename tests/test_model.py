@@ -461,6 +461,21 @@ class TestTrain:
         with pytest.raises(TrainingDivergence):
             train(ds, quick_net(its=60, learning_rate=1e6), quick_pl(), n_components=4)
 
+    def test_non_finite_gradient_keeps_the_trace_so_far(self, monkeypatch):
+        calls = []
+
+        def nan_at_three(*args, **kwargs):
+            total, parts, grads = loss_and_grads(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                grads = dict(grads, **{"heads.b": np.full_like(grads["heads.b"], np.nan)})
+            return total, parts, grads
+
+        monkeypatch.setattr(model, "loss_and_grads", nan_at_three)
+        with pytest.raises(TrainingDivergence, match="gradient in heads.b") as exc:
+            train(small_ds(seed=7), quick_net(its=10), quick_pl(), n_components=4)
+        assert len(exc.value.trace) == 2 and all(len(t) == 3 for t in exc.value.trace)
+
     def test_expansion_redraw_flag_changes_path(self):
         ds = small_ds(seed=8)
         redraw = train(ds, quick_net(), quick_pl(), n_components=4)

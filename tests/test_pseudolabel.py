@@ -663,21 +663,49 @@ class TestPackedWalk:
             assert np.array_equal(back.predict_matrix(X), expect)
 
     def test_tree_deeper_than_max_depth_rejected(self):
-        """The complete layout is bounded by max_depth; a cyclic tree from a bad bundle is caught too."""
         with pytest.raises(ValueError, match="deeper"):
             PseudoLabelEnsemble([MIXED], PseudoLabelConfig(k=1, max_depth=2))
-        cyclic = Tree([0, -1], [0.0, 0.0], [0, -1], [1, -1], [0.5, 0.5])
-        with pytest.raises(ValueError, match="deeper"):
-            PseudoLabelEnsemble([cyclic], PseudoLabelConfig(k=1))
 
-    @pytest.mark.parametrize("breakage", ["left_negative", "right_past_end", "short_value", "feature_below_leaf", "value_above_one", "value_nan", "empty"])
+    def test_build_memory_scales_with_nodes_not_depth(self):
+        """A 41-node chain of depth 20 packs in memory that grows with its nodes, not with 2^20."""
+        # Internal node 2j splits x0 <= j: a leaf on the left, the next split on the right.
+        n = 41
+        feature = [0 if i % 2 == 0 and i < n - 1 else -1 for i in range(n)]
+        threshold = [i / 2 if f == 0 else 0.0 for i, f in enumerate(feature)]
+        left = [i + 1 if f == 0 else -1 for i, f in enumerate(feature)]
+        right = [i + 2 if f == 0 else -1 for i, f in enumerate(feature)]
+        value = [(i // 2) % 2 for i in range(n)]
+        chain = Tree(feature, threshold, left, right, value)
+        tracemalloc.start()
+        try:
+            ens = PseudoLabelEnsemble([chain], PseudoLabelConfig(k=1, max_depth=20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        X = np.arange(-1.0, 21.5, 0.5)[:, None]
+        assert np.array_equal(ens.predict_matrix(X), oracle_matrix(ens, X))
+
+    @pytest.mark.parametrize(
+        "breakage",
+        ["left_negative", "right_past_end", "link_to_root", "linked_twice", "cyclic", "short_value", "feature_below_leaf", "value_above_one", "value_nan", "empty"],
+    )
     def test_malformed_tree_rejected(self, breakage):
-        """A child link outside the tree would read a node of the next tree in the packed tables."""
+        """A child link outside the tree would read a node of the next tree in the packed
+        tables, and one back to the root or to a node already linked is not a tree."""
         arrays = {k: list(v) for k, v in STUMP.to_dict().items()}
         if breakage == "left_negative":
             arrays["left"][0] = -1
         elif breakage == "right_past_end":
             arrays["right"][0] = 3
+        elif breakage == "link_to_root":
+            arrays = {k: list(v) for k, v in MIXED.to_dict().items()}
+            arrays["right"][2] = 0
+        elif breakage == "linked_twice":
+            arrays = {k: list(v) for k, v in MIXED.to_dict().items()}
+            arrays["right"][3] = 1
+        elif breakage == "cyclic":
+            arrays = {"feature": [0, -1], "threshold": [0.0, 0.0], "left": [0, -1], "right": [1, -1], "value": [0.5, 0.5]}
         elif breakage == "short_value":
             arrays["value"].pop()
         elif breakage == "feature_below_leaf":
