@@ -7,7 +7,7 @@ copies of them. Deployment averages the labeler votes with the head
 probabilities, which keeps rankings stable under distribution shift.
 """
 
-from .data import Dataset, DatasetError, SubsampleSpec, load_csv, make_synthetic_radial, save_csv, subsample
+from .data import Dataset, DatasetError, load_csv, make_synthetic_radial, save_csv
 from .latent import LatentMap, decode, encode, expand_with, fit_pca
 from .metrics import (
     EvalReport,
@@ -56,7 +56,6 @@ __all__ = [
     "PseudoLabelConfig",
     "PseudoLabelEnsemble",
     "ScoredSet",
-    "SubsampleSpec",
     "TrainedBundle",
     "TrainingDivergence",
     "Tree",
@@ -87,7 +86,6 @@ __all__ = [
     "save_bundle",
     "save_csv",
     "score",
-    "subsample",
     "train",
     "train_erm",
     "train_pl_ens",

@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as me
-from .data import FRACTION, Dataset, DatasetError, SubsampleSpec, _read_csv, load_csv, load_features, make_synthetic_radial, read_header, read_records, same_kind, save_csv, subsample, write_csv
+from .data import FRACTION, Dataset, DatasetError, _read_csv, draw, fraction_count, load_csv, load_features, make_synthetic_radial, open_text, read_header, read_records, same_kind, save_csv, write_csv
 from .latent import fit_pca
 from .model import (
     LOSS_MODES,
@@ -38,7 +38,7 @@ from .model import (
     write_json,
 )
 from .pseudolabel import PseudoLabelConfig
-from .seeding import derive_seed
+from .seeding import derive_seed, generator
 from .splits import FoldResult, cluster_split, leave_one_out_folds, weighted_summary
 
 
@@ -131,7 +131,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"{path}: non-finite number {name} is not allowed")
 
     try:
-        with open(path) as fh:
+        with open_text(path, ConfigError) as fh:
             doc = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
@@ -245,11 +245,8 @@ def cmd_fit(cfg: dict, train_path: str, out_dir: str) -> dict:
     save_bundle(bundle, paths["bundle"])
     trace = np.array(bundle.trace, dtype=np.float64).reshape(-1, 3)
     write_csv(paths["trace"], ["iteration", "match", "mean", "expand"], [np.arange(len(trace)), trace])
-    last = bundle.trace[-1] if bundle.trace else (0.0, 0.0, 0.0)
-    print(
-        f"fit {cfg['method']} on {ds.n} rows (latent {bundle.latent_map.s}); "
-        f"final losses match={last[0]:.6f} mean={last[1]:.6f} expand={last[2]:.6f}"
-    )
+    losses = "; final losses match={:.6f} mean={:.6f} expand={:.6f}".format(*bundle.trace[-1]) if bundle.trace else ""
+    print(f"fit {cfg['method']} on {ds.n} rows (latent {bundle.latent_map.s}){losses}")
     return paths
 
 
@@ -277,7 +274,7 @@ def _read_predictions(path: str, n: int) -> np.ndarray:
     score as the one feature, so a bad cell names its line and column. An
     index out of range or a score that is not finite then names its line.
     """
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = read_header(path, reader) or []
         if header[:2] != ["index", "score"]:
@@ -332,6 +329,7 @@ def run_stability(
     stab = cfg["stability"]
     methods, trials, fraction = stab["methods"], stab["trials"], stab["subsample_fraction"]
     _check_range(cfg, "stability.trials")
+    count = fraction_count(fraction, train_ds.n)
     seed = cfg["seed"]
     if subsample_seeds is None:
         subsample_seeds = [derive_seed(seed, "stability_subsample", t) for t in range(trials)]
@@ -343,7 +341,7 @@ def run_stability(
         mcfg["method"] = method
         rows = []
         for t in range(trials):
-            sub, _, _ = subsample(train_ds, SubsampleSpec(fraction, 1.0, subsample_seeds[t]))
+            sub = train_ds.take(draw(train_ds.n, count, generator(subsample_seeds[t])))
             bundle = _train_bundle(mcfg, sub, base_seed=train_seeds[t])
             rows.append(predict(bundle, test_ds.features))
         matrix = np.stack(rows)

@@ -1,4 +1,4 @@
-"""Datasets: construction, CSV i/o, subsampling, and a synthetic benchmark.
+"""Datasets: construction, CSV i/o, row draws, and a synthetic benchmark.
 
 A :class:`Dataset` is a frozen bundle of a float64 feature matrix and binary
 labels. All randomized operations take explicit seeds; calling twice with the
@@ -16,7 +16,9 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import field, fields
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -30,6 +32,18 @@ class DatasetError(ValueError):
 
 # CSV files are read this many records, and written this many rows, at a time.
 CSV_CHUNK = 512
+
+
+@contextmanager
+def open_text(path, error=DatasetError, **kwargs):
+    """``open(path, **kwargs)`` to read text; a byte it cannot decode raises ``error`` naming the file and the byte's offset."""
+    with open(path, **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # The decoder reads ahead in blocks, so no line is known; exc.object is the block, ending where fh has read to.
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise error(f"{path}: byte {at} is not {exc.encoding} text ({exc.reason})") from None
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -132,14 +146,10 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def take(self, rows=None, cols=None) -> "Dataset":
-        """New Dataset restricted to the given row/column index arrays."""
-        rows = np.arange(self.n) if rows is None else np.asarray(rows, dtype=np.int64)
-        cols = np.arange(self.d) if cols is None else np.asarray(cols, dtype=np.int64)
-        names = None
-        if self.feature_names is not None:
-            names = [self.feature_names[int(c)] for c in cols]
-        return Dataset(self.features[np.ix_(rows, cols)], self.labels[rows], feature_names=names)
+    def take(self, rows) -> "Dataset":
+        """New Dataset of the given rows, in their order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return Dataset(self.features[rows], self.labels[rows], feature_names=self.feature_names)
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"
@@ -149,42 +159,20 @@ class Dataset:
 FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
-@dataclass(frozen=True)
-class SubsampleSpec:
-    """Without-replacement subsampling fractions and the seed that drives them.
+def fraction_count(fraction, n: int) -> int:
+    """How many of ``n`` items a fraction in (0, 1] takes: its decimal value times n, rounded up.
 
-    Fractions are in (0, 1]; counts are rounded up so at least one row and
-    one column always survive.
+    So 0.07 of 100 is 7, where the double product 7.000000000000001 would give 8.
     """
-
-    instance_fraction: float = ranged(0.632, *FRACTION)
-    feature_fraction: float = ranged(0.5, *FRACTION)
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
+    test, wording = FRACTION
+    if not (same_kind(0.0, fraction) and test(fraction)):
+        raise ValueError(f"fraction must be {wording}, got {fraction!r}")
+    return math.ceil(Fraction(repr(float(fraction))) * n)
 
 
-def subsample(ds: Dataset, spec: SubsampleSpec):
-    """Draw a row/column subsample of ``ds`` without replacement.
-
-    Rows are drawn first, then columns, from a single generator seeded with
-    ``spec.seed``. Both index arrays are returned sorted ascending.
-
-    Returns
-    -------
-    (Dataset, row_indices, col_indices)
-    """
-    rows, cols = subsample_indices(ds.n, ds.d, spec)
-    return ds.take(rows, cols), rows, cols
-
-
-def subsample_indices(n: int, d: int, spec: SubsampleSpec):
-    """The sorted (row_indices, col_indices) that :func:`subsample` draws from an (n, d) set."""
-    rng = generator(spec.seed)
-    rows = np.sort(rng.choice(n, size=math.ceil(spec.instance_fraction * n), replace=False))
-    cols = np.sort(rng.choice(d, size=math.ceil(spec.feature_fraction * d), replace=False))
-    return rows, cols
+def draw(n: int, count: int, rng) -> np.ndarray:
+    """``count`` distinct indices of ``range(n)`` drawn by ``rng`` without replacement, sorted ascending."""
+    return np.sort(rng.choice(n, size=count, replace=False))
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
@@ -216,7 +204,7 @@ def _read_csv(path, label_column, label_required, features=True):
     With ``features`` False no feature cell is parsed and the features are
     (N, 0); the field counts and the labels are still checked.
     """
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = read_header(path, reader)
         if header is None:

@@ -9,11 +9,11 @@ inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
+
+from .data import fraction_count
 
 
 class ScoredSet:
@@ -122,12 +122,9 @@ def auroc(s: ScoredSet) -> float:
 
 
 def enrichment_factor(s: ScoredSet, top_fraction: float) -> float:
-    """Precision among the top ceil(fraction * N) items over the base prevalence."""
-    if not (0.0 < top_fraction <= 1.0):
-        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
+    """Precision among the top ``fraction_count(top_fraction, N)`` items over the base prevalence."""
+    n_top = fraction_count(top_fraction, s.n)
     _require_positive(s, "enrichment_factor")
-    # The fraction's decimal value, so 0.07 of 100 rows is 7, not ceil(7.000000000000001).
-    n_top = math.ceil(Fraction(repr(float(top_fraction))) * s.n)
     hits = int(s.labels[s.ranking()[:n_top]].sum())
     return (hits / n_top) / (s.positives / s.n)
 

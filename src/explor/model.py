@@ -31,6 +31,7 @@ not depend on the thread count.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -142,21 +143,28 @@ class ExplorNet:
     """ELU trunk with K independent logistic heads, stored as plain arrays."""
 
     def __init__(self, input_dim: int, hidden, heads: int, seed: int = 0):
+        shapes = self._set_dims(input_dim, hidden, heads)
+        rng = generator(derive_seed(seed, "init"))
+        self.params = {}
+        for name, shape in shapes.items():
+            if name.startswith("trunk.") and name.endswith(".w"):
+                bound = np.sqrt(6.0 / shape[1])
+                self.params[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                self.params[name] = np.zeros(shape)
+
+    def _set_dims(self, input_dim, hidden, heads) -> dict:
+        """Check and set the dims; each parameter's shape, in layer order, with nothing allocated."""
         if not all(is_int(v) and v >= 1 for v in (input_dim, heads, *hidden)):
             raise ValueError(f"need integer input_dim, heads and hidden widths >= 1, got {input_dim}, {heads}, {list(hidden)}")
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.heads = int(heads)
-        rng = generator(derive_seed(seed, "init"))
-        self.params = {}
-        fan_in = self.input_dim
+        shapes, fan_in = {}, self.input_dim
         for i, width in enumerate(self.hidden):
-            bound = np.sqrt(6.0 / fan_in)
-            self.params[f"trunk.{i}.w"] = rng.uniform(-bound, bound, size=(width, fan_in))
-            self.params[f"trunk.{i}.b"] = np.zeros(width)
+            shapes |= {f"trunk.{i}.w": (width, fan_in), f"trunk.{i}.b": (width,)}
             fan_in = width
-        self.params["heads.w"] = np.zeros((self.heads, fan_in))
-        self.params["heads.b"] = np.zeros(self.heads)
+        return shapes | {"heads.w": (self.heads, fan_in), "heads.b": (self.heads,)}
 
     def param_names(self):
         """Parameter names in layer order: trunk.i.w, trunk.i.b, ..., heads.w, heads.b."""
@@ -207,21 +215,26 @@ class ExplorNet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExplorNet":
-        """Rebuild a net; every parameter must be present, finite and shaped as the declared dims say."""
-        net = cls(doc["input_dim"], doc["hidden"], doc["heads"])
+        """Rebuild a net; every parameter must be present, finite and shaped as the declared dims say.
+
+        Nothing of the declared size is allocated, so a bundle cannot declare a net larger than its data.
+        """
+        net = cls.__new__(cls)
+        shapes = net._set_dims(doc["input_dim"], doc["hidden"], doc["heads"])
         params = doc["params"]
-        missing = sorted(set(net.params) - set(params))
-        unexpected = sorted(set(params) - set(net.params))
+        missing = sorted(set(shapes) - set(params))
+        unexpected = sorted(set(params) - set(shapes))
         if missing or unexpected:
             raise ValueError(f"net params do not fit the declared dims: missing {missing}, unexpected {unexpected}")
+        net.params = dict.fromkeys(shapes)  # layer order, whatever the document's order
         for k, spec in params.items():
-            want = net.params[k]
+            shape = shapes[k]
             data = np.array(spec["data"], dtype=np.float64)
-            if tuple(spec["shape"]) != want.shape or not all(map(is_int, spec["shape"])) or data.shape != (want.size,):
-                raise ValueError(f"net param {k!r} has shape {spec['shape']} and {data.size} values, expected {list(want.shape)}")
+            if tuple(spec["shape"]) != shape or not all(map(is_int, spec["shape"])) or data.shape != (math.prod(shape),):
+                raise ValueError(f"net param {k!r} has shape {spec['shape']} and {data.size} values, expected {list(shape)}")
             if not np.all(np.isfinite(data)):
                 raise ValueError(f"net param {k!r} has non-finite values")
-            net.params[k] = data.reshape(want.shape)
+            net.params[k] = data.reshape(shape)
         return net
 
 

@@ -37,12 +37,11 @@ leaf stays there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import FRACTION, Dataset, SubsampleSpec, check_fields, ranged, subsample_indices
+from .data import FRACTION, Dataset, check_fields, draw, fraction_count, ranged
 from .seeding import derive_seed, generator
 
 
@@ -402,18 +401,22 @@ def fit_ensemble(ds: Dataset, cfg: PseudoLabelConfig) -> PseudoLabelEnsemble:
 
 
 def _tree_draws(n: int, d: int, cfg: PseudoLabelConfig):
-    """Each tree's sorted (rows, cols) of an (n, d) training set, in labeler order."""
+    """Each tree's sorted (rows, cols) of an (n, d) training set, in labeler order.
+
+    Labeler k draws rows, then columns, from its seed; a forest tree re-draws its labeler's rows from its own.
+    """
+    m = fraction_count(cfg.instance_fraction, n)
+    c = fraction_count(cfg.feature_fraction, d)
+    m_tree = fraction_count(cfg.instance_fraction, m)
     for k in range(cfg.k):
         seed_k = derive_seed(cfg.seed, "labeler", k)
-        rows, cols = subsample_indices(n, d, SubsampleSpec(cfg.instance_fraction, cfg.feature_fraction, seed_k))
+        rng = generator(seed_k)
+        rows, cols = draw(n, m, rng), draw(d, c, rng)
         if cfg.trees_per_labeler == 1:
             yield rows, cols
             continue
         for t in range(cfg.trees_per_labeler):
-            # Forest diversity: re-subsample the labeler's rows per tree.
-            rng = generator(derive_seed(seed_k, "tree", t))
-            pick = rng.choice(rows.size, size=math.ceil(cfg.instance_fraction * rows.size), replace=False)
-            yield rows[np.sort(pick)], cols
+            yield rows[draw(m, m_tree, generator(derive_seed(seed_k, "tree", t)))], cols
 
 
 def _grow_subsamples(X, rank, y, block, cfg: PseudoLabelConfig) -> list:

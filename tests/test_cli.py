@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explor import data
+from explor import cli, data
 from explor.cli import (
     FLAG_MAP,
     ConfigError,
@@ -615,6 +615,50 @@ class TestFitPredictEval:
         assert main(self.eval_args(tmp_path, cfg_path, bad, tmp_path / "ood_test.csv")) == 1
         assert capsys.readouterr().err == f"error: {bad}: {err}\n"
 
+    @pytest.mark.parametrize("command", ["fit", "predict", "eval"])
+    def test_undecodable_data_byte_names_the_file(self, workdir, capsys, command):
+        """A byte that is not UTF-8 in a data file exits 1 naming the file and the byte's offset."""
+        tmp_path, cfg_path = workdir
+        out = self.run_chain(tmp_path, cfg_path)
+        raw = bytearray((tmp_path / "ood_test.csv").read_bytes())
+        raw[185] = 0xFF
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(bytes(raw))
+        args = {
+            "fit": ["fit", "--train", str(bad)],
+            "predict": ["predict", "--bundle", f"{out}/bundle.json", "--data", str(bad)],
+            "eval": ["eval", "--predictions", f"{out}/predictions.csv", "--data", str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert main([*args, "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: byte 185 is not utf-8 text (invalid start byte)\n"
+
+    def test_undecodable_config_byte_names_the_file(self, workdir, capsys):
+        tmp_path, cfg_path = workdir
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": 1, "method": "\xffrm"}')
+        capsys.readouterr()
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(bad), "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: byte 23 is not utf-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("extra", [("--method", "pl_ens"), ("--iterations", "0")], ids=["pl_ens", "no_iterations"])
+    def test_fit_prints_no_losses_it_never_computed(self, workdir, capsys, extra):
+        """With no training iteration the fit line has no loss part, and trace.csv is its header alone."""
+        tmp_path, cfg_path = workdir
+        capsys.readouterr()
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg_path), "--output-dir", str(tmp_path), *extra]) == 0
+        method = extra[1] if extra[0] == "--method" else "explor"
+        assert capsys.readouterr().out == f"fit {method} on 60 rows (latent 3)\n"
+        assert (tmp_path / "trace.csv").read_text() == "iteration,match,mean,expand\n"
+
+    def test_fit_prints_its_final_losses(self, workdir, capsys):
+        tmp_path, cfg_path = workdir
+        capsys.readouterr()
+        assert main(["fit", "--train", str(tmp_path / "train.csv"), "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 0
+        match, mean, expand = load_bundle(tmp_path / "bundle.json").trace[-1]
+        want = f"fit explor on 60 rows (latent 3); final losses match={match:.6f} mean={mean:.6f} expand={expand:.6f}\n"
+        assert capsys.readouterr().out == want
+
     def test_quoted_predictions_read_as_plain(self, workdir):
         """Quoted cells and CRLF line ends in a predictions file give the same report as the plain file."""
         tmp_path, cfg_path = workdir
@@ -839,6 +883,13 @@ class TestStability:
         solo = run_stability(train_ds, test_ds, self.merged(["pl_ens"]))
         both = run_stability(train_ds, test_ds, self.merged(["erm", "pl_ens"]))
         assert np.array_equal(solo["methods"]["pl_ens"]["matrix"], both["methods"]["pl_ens"]["matrix"])
+
+    def test_trial_keeps_the_decimal_fraction_of_rows(self):
+        """At subsample_fraction 0.07 a trial trains on 7 of 100 rows, though 0.07 * 100 rounds up to 8 in doubles."""
+        train_ds, test_ds = make_synthetic_radial(100, 20, 3, seed=4)
+        with mock.patch("explor.cli._train_bundle", wraps=cli._train_bundle) as fit:
+            run_stability(train_ds, test_ds, self.merged(["erm"], trials=2, fraction=0.07))
+        assert [call.args[1].n for call in fit.call_args_list] == [7, 7]
 
     def test_too_few_trials_rejected(self):
         train_ds, test_ds = self.make_sets(seed=3)

@@ -1,6 +1,7 @@
-"""Dataset construction, CSV round-trips, subsampling, synthetic benchmark."""
+"""Dataset construction, CSV round-trips, row draws, synthetic benchmark."""
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -13,16 +14,17 @@ from explor import data
 from explor.data import (
     Dataset,
     DatasetError,
-    SubsampleSpec,
     _read_csv,
+    draw,
+    fraction_count,
     load_csv,
     load_features,
     make_synthetic_radial,
     same_kind,
     save_csv,
-    subsample,
     write_csv,
 )
+from explor.seeding import generator
 
 rng = np.random.default_rng(42)
 
@@ -64,12 +66,12 @@ class TestDataset:
         with pytest.raises(DatasetError, match="label outside {0, 1} at row 0"):
             Dataset(np.zeros((3, 2)), [0.5, 1.7, 0.2])
 
-    def test_take_rows_and_cols(self):
-        ds = small_ds()
-        sub = ds.take(rows=[2, 5], cols=[0, 3])
-        assert sub.n == 2 and sub.d == 2
-        assert np.array_equal(sub.features, ds.features[np.ix_([2, 5], [0, 3])])
-        assert np.array_equal(sub.labels, ds.labels[[2, 5]])
+    def test_take_rows(self):
+        ds = Dataset(np.arange(40.0).reshape(10, 4), [0, 1] * 5, feature_names=list("abcd"))
+        sub = ds.take([5, 2])
+        assert sub.n == 2 and sub.d == 4 and sub.feature_names == list("abcd")
+        assert np.array_equal(sub.features, ds.features[[5, 2]])
+        assert np.array_equal(sub.labels, ds.labels[[5, 2]])
 
 
 class TestCsvRoundtrip:
@@ -301,6 +303,19 @@ class TestChunkedReader:
             load_features(path)
 
 
+    @pytest.mark.parametrize("reader", [load_csv, load_features])
+    def test_undecodable_byte_names_its_offset_in_the_file(self, tmp_path, reader):
+        """The decoder reads ahead in blocks; the message still gives the byte's offset from the file's start."""
+        body = "".join(f"{i}.25,{i % 2}\n" for i in range(5000)).encode()
+        raw = bytearray("caf\u00e9,label\n".encode() + body)  # a two-byte character before the bad byte
+        at = 30_000
+        raw[at] = 0xFF
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: byte {at} is not utf-8 text \(invalid start byte\)$"):
+            reader(path)
+
+
 class TestWriteCsv:
     def test_columns_and_chunks(self, tmp_path):
         """Floats as repr, ints as digits, strings as they are; a quoted header; (N, 0) blocks write nothing."""
@@ -313,47 +328,46 @@ class TestWriteCsv:
 
 
 class TestSubsample:
+    """``fraction_count`` is the one rule for a fraction of n items, ``draw`` the one draw of them."""
+
     def test_counts_are_ceil(self):
-        ds = small_ds(n=10, d=4)
-        sub, rows, cols = subsample(ds, SubsampleSpec(0.632, 0.5, seed=1))
-        assert rows.size == math.ceil(0.632 * 10) == 7
-        assert cols.size == math.ceil(0.5 * 4) == 2
-        assert sub.n == 7 and sub.d == 2
+        """The fraction's decimal value times n, rounded up."""
+        assert fraction_count(0.632, 10) == 7
+        assert fraction_count(0.5, 4) == 2
+        assert fraction_count(0.01, 1) == 1
+        # 0.07 * 100 is 7.000000000000001 in doubles; the count is still 7.
+        assert 0.07 * 100 > 7 and fraction_count(0.07, 100) == 7
+
+    @pytest.mark.parametrize("fraction", [0.632, 0.5, 0.8])
+    def test_default_fractions_count_as_the_double_product(self, fraction):
+        """The labeler and stability defaults count ``ceil(f * n)`` for every n they meet, so draws keep their rows."""
+        assert all(fraction_count(fraction, n) == math.ceil(fraction * n) for n in range(20_001))
 
     def test_sorted_unique_indices(self):
-        ds = small_ds(n=50, d=8)
         for seed in range(20):
-            _, rows, cols = subsample(ds, SubsampleSpec(0.4, 0.6, seed=seed))
-            assert np.array_equal(rows, np.sort(rows))
-            assert np.unique(rows).size == rows.size
-            assert np.array_equal(cols, np.sort(cols))
-            assert np.unique(cols).size == cols.size
+            for n, count in ((50, 20), (8, 5)):
+                idx = draw(n, count, generator(seed))
+                assert idx.size == count and np.array_equal(idx, np.unique(idx))
+                assert 0 <= idx[0] and idx[-1] < n
 
     def test_values_match_parent(self):
         ds = small_ds(n=30, d=6)
-        sub, rows, cols = subsample(ds, SubsampleSpec(0.5, 0.5, seed=3))
-        assert np.array_equal(sub.features, ds.features[np.ix_(rows, cols)])
+        rows = draw(ds.n, fraction_count(0.5, ds.n), generator(3))
+        sub = ds.take(rows)
+        assert np.array_equal(sub.features, ds.features[rows])
         assert np.array_equal(sub.labels, ds.labels[rows])
 
     def test_same_seed_same_draw(self):
-        ds = small_ds(n=40, d=6)
-        a = subsample(ds, SubsampleSpec(0.3, 0.5, seed=9))
-        b = subsample(ds, SubsampleSpec(0.3, 0.5, seed=9))
-        assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+        assert np.array_equal(draw(40, 12, generator(9)), draw(40, 12, generator(9)))
+        assert not np.array_equal(draw(40, 12, generator(9)), draw(40, 12, generator(10)))
 
     def test_full_fraction_keeps_everything(self):
-        ds = small_ds(n=12, d=3)
-        sub, rows, cols = subsample(ds, SubsampleSpec(1.0, 1.0, seed=0))
-        assert np.array_equal(rows, np.arange(12))
-        assert np.array_equal(cols, np.arange(3))
+        assert np.array_equal(draw(12, fraction_count(1.0, 12), generator(0)), np.arange(12))
 
     def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            SubsampleSpec(0.0, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            SubsampleSpec(0.5, 1.2, seed=0)
-        with pytest.raises(ValueError):
-            SubsampleSpec(instance_fraction=True)
+        for fraction in (0.0, 1.2, True, -0.5, float("nan"), "0.5"):
+            with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
+                fraction_count(fraction, 10)
 
 
 class TestSameKind:

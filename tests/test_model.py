@@ -817,6 +817,19 @@ class TestBundleIO:
         with pytest.raises(ValueError, match=match):
             TrainedBundle.from_dict(doc)
 
+    def test_declared_widths_are_checked_before_allocation(self):
+        """Wide declared widths fail on the stored shapes before a net of those widths exists."""
+        doc = ExplorNet(16, (4, 4), 2).to_dict()
+        doc["hidden"] = [3000, 3000]  # 72 MB of trunk.1.w if it were allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"net param 'trunk.0.w' has shape \[4, 16\] and 64 values, expected \[3000, 16\]"):
+                ExplorNet.from_dict(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_missing_part_for_method_rejected(self):
         ds = small_ds(seed=18)
         doc = train(ds, quick_net(its=2), quick_pl(), n_components=4).to_dict()

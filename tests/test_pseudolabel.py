@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explor.data import Dataset, SubsampleSpec, make_synthetic_radial, subsample
+from explor import data
+from explor.data import Dataset, fraction_count, make_synthetic_radial
 from explor.latent import encode, fit_pca
 from explor.pseudolabel import (
     PseudoLabelConfig,
@@ -433,9 +434,10 @@ def demo_ds(n=200, d=8, seed=0):
 
 
 def labeler_subsample(ds, cfg, j):
-    """The (rows, columns) labeler j is fit on, drawn from its own seed as ``fit_ensemble`` draws it."""
-    _, rows, cols = subsample(ds, SubsampleSpec(cfg.instance_fraction, cfg.feature_fraction, derive_seed(cfg.seed, "labeler", j)))
-    return rows, cols
+    """The (rows, columns) labeler j is fit on: rows, then columns, drawn from its own seed."""
+    rng = generator(derive_seed(cfg.seed, "labeler", j))
+    rows = data.draw(ds.n, fraction_count(cfg.instance_fraction, ds.n), rng)
+    return rows, data.draw(ds.d, fraction_count(cfg.feature_fraction, ds.d), rng)
 
 
 def tree_subsample(ds, cfg, j, t):
@@ -444,7 +446,7 @@ def tree_subsample(ds, cfg, j, t):
     if cfg.trees_per_labeler == 1:
         return rows, cols
     rng = generator(derive_seed(derive_seed(cfg.seed, "labeler", j), "tree", t))
-    return rows[np.sort(rng.choice(rows.size, size=math.ceil(cfg.instance_fraction * rows.size), replace=False))], cols
+    return rows[data.draw(rows.size, fraction_count(cfg.instance_fraction, rows.size), rng)], cols
 
 
 class TestEnsemble:
@@ -460,6 +462,19 @@ class TestEnsemble:
             for tree in labeler_trees(ens, j):
                 internal = tree.feature[tree.feature >= 0]
                 assert set(internal.tolist()) <= set(cols.tolist())
+
+    def test_fraction_counts_decimal_rows_and_columns(self):
+        """0.07 of 100 is 7 rows and 7 columns, though 0.07 * 100 rounds up to 8 in doubles."""
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.standard_normal((100, 100)), np.arange(100) % 2)
+        cfg = PseudoLabelConfig(k=4, instance_fraction=0.07, feature_fraction=0.07, seed=2)
+        ens = fit_ensemble(ds, cfg)
+        for j in range(cfg.k):
+            rows, cols = labeler_subsample(ds, cfg, j)
+            assert rows.size == 7 and cols.size == 7
+            want = fit_tree(ds.features[rows][:, cols], ds.labels[rows], cfg.max_depth, cfg.min_leaf)
+            want.feature[want.feature >= 0] = cols[want.feature[want.feature >= 0]]
+            assert_same_bytes(ens.trees[j], want)
 
     def test_labelers_differ(self):
         """No two labelers see the same rows and columns at once."""
