@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as me
-from .data import FRACTION, Dataset, DatasetError, _read_csv, draw, fraction_count, load_csv, load_features, make_synthetic_radial, open_text, read_header, read_records, same_kind, save_csv, write_csv
+from .data import FRACTION, Dataset, DatasetError, _read_csv, check_value, draw, fraction_count, load_csv, load_features, make_synthetic_radial, open_text, read_header, read_records, save_csv, write_csv
 from .latent import fit_pca
 from .model import (
     LOSS_MODES,
@@ -77,7 +77,7 @@ DEFAULTS = {
 # are the config dataclasses' own declarations.
 _RANGES = {
     "method": (lambda v: v in METHODS, f"one of {METHODS}"),
-    "latent.components": (lambda v: v is None or v >= 1, "null or >= 1"),
+    "latent.components": (lambda v: v >= 1, "null or >= 1"),
     "latent.sigma": (lambda v: v > 0, "> 0"),
     **{
         f"{section}.{f.name}": f.metadata["range"]
@@ -85,8 +85,8 @@ _RANGES = {
         for f in fields(cls)
         if "range" in f.metadata
     },
-    "metrics.taus": (lambda v: all(0.0 < t <= 1.0 for t in v), "a list of values in (0, 1]"),
-    "metrics.ef_fractions": (lambda v: all(0.0 < t <= 1.0 for t in v), "a list of values in (0, 1]"),
+    "metrics.taus": (lambda v: all(map(FRACTION[0], v)), "a list of values in (0, 1]"),
+    "metrics.ef_fractions": (lambda v: all(map(FRACTION[0], v)), "a list of values in (0, 1]"),
     "stability.trials": (lambda v: v >= 2, ">= 2"),
     "stability.subsample_fraction": FRACTION,
     "stability.methods": (lambda v: len(v) >= 1 and all(m in METHODS for m in v), f"a nonempty list of methods from {METHODS}"),
@@ -101,6 +101,13 @@ _RANGES = {
 _NULL_KINDS = {"latent.components": 0}
 
 
+def _check_key(where: str, val, default, with_range: bool) -> None:
+    """Check ``val`` at dotted key ``where`` for the kind of ``default`` (null passes a null default) and, ``with_range``, its ``_RANGES`` entry."""
+    test, wording = _RANGES.get(where, (None, None))
+    if not (val is None and default is None):
+        check_value(f"config key {where!r}", val, _NULL_KINDS.get(where, default), (test if with_range else None, wording), ConfigError)
+
+
 def _merge_config(base: dict, override: dict, path: str = "", schema: dict = DEFAULTS) -> dict:
     """``base`` with ``override``'s keys, each checked against its default in ``schema``."""
     out = copy.deepcopy(base)
@@ -113,12 +120,9 @@ def _merge_config(base: dict, override: dict, path: str = "", schema: dict = DEF
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
             out[key] = _merge_config(base[key], val, where, default)
-        elif default is None and not (val is None or same_kind(_NULL_KINDS[where], val)):
-            raise ConfigError(f"config key {where!r} must be null or of type {type(_NULL_KINDS[where]).__name__}, got {val!r}")
-        elif default is not None and not same_kind(default, val):
-            raise ConfigError(f"config key {where!r} must be of the same type as its default {default!r}, got {val!r}")
         else:
-            out[key] = val
+            _check_key(where, val, default, False)
+            out[key] = val  # as given, so cfg and what is written from it keep their values
     return out
 
 
@@ -190,12 +194,9 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
 
 
 def _check_range(cfg: dict, where: str) -> None:
-    """Check the value at dotted key ``where`` of ``cfg`` against its ``_RANGES`` entry."""
-    ok, wording = _RANGES[where]
+    """Check the value at dotted key ``where`` of ``cfg`` for its default's kind and its ``_RANGES`` entry."""
     section, _, key = where.rpartition(".")
-    val = (cfg[section] if section else cfg)[key]
-    if not ok(val):
-        raise ConfigError(f"config key {where!r} must be {wording}, got {val!r}")
+    _check_key(where, (cfg[section] if section else cfg)[key], (DEFAULTS[section] if section else DEFAULTS)[key], True)
 
 
 def resolve_config(config_path, args) -> dict:

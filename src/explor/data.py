@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import reprlib
 import sys
 from contextlib import contextmanager
 from dataclasses import field, fields
@@ -78,25 +79,42 @@ def ranged(default, test, wording: str):
     return field(default=default, metadata={"range": (test, wording)})
 
 
-def check_fields(obj) -> None:
-    """Check each field of the frozen dataclass ``obj`` for its default's kind, then for its declared range.
+def check_value(name: str, value, default, rule=None, error=ValueError):
+    """``value`` checked for the kind of ``default``, then for ``rule``, a (test, wording) range or None.
 
-    Ints are stored as ``int``, numpy floats as ``float`` and sequences as tuples.
+    The value comes back with ints as ``int``, numpy floats as ``float`` and
+    sequences as tuples. A failure raises ``error`` naming ``name`` and the
+    value as given.
     """
+    test, wording = rule or (None, None)
+    given = value
+    if not same_kind(default, value):
+        also = f"{wording} and " if wording else ""
+        raise error(f"{name} must be {also}of the kind of {default!r}, got {reprlib.repr(value)}")
+    if isinstance(value, (list, tuple)):
+        value = tuple(int(x) if is_int(x) else x for x in value)
+    elif is_int(value):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)  # json cannot write a numpy float32
+    if test is not None and not test(value):
+        raise error(f"{name} must be {wording}, got {reprlib.repr(given)}")
+    return value
+
+
+def check_fields(obj) -> None:
+    """Check and normalise each field of the frozen dataclass ``obj`` with :func:`check_value` and its declared range."""
     for f in fields(obj):
-        v = getattr(obj, f.name)
-        if not same_kind(f.default, v):
-            raise ValueError(f"{f.name} must be of the kind of its default {f.default!r}, got {v!r}")
-        if isinstance(v, (list, tuple)):
-            v = tuple(int(x) if is_int(x) else x for x in v)
-        elif is_int(v):
-            v = int(v)
-        elif isinstance(v, np.floating):
-            v = float(v)  # json cannot write a numpy float32
-        test, wording = f.metadata.get("range", (None, None))
-        if test is not None and not test(v):
-            raise ValueError(f"{f.name} must be {wording}, got {v!r}")
-        object.__setattr__(obj, f.name, v)
+        object.__setattr__(obj, f.name, check_value(f.name, getattr(obj, f.name), f.default, f.metadata.get("range")))
+
+
+def binary_labels(labels) -> np.ndarray:
+    """``labels`` as int64, each checked to equal 0 or 1 before the cast, which would truncate 0.5 to 0 and 1.7 to 1."""
+    y = np.asarray(labels)
+    ok = (y == 0) | (y == 1)
+    if not np.all(ok):
+        raise DatasetError(f"label outside {{0, 1}} at row {int(np.flatnonzero(~ok)[0])}: labels must be 0/1")
+    return y.astype(np.int64)
 
 
 class Dataset:
@@ -123,11 +141,7 @@ class Dataset:
         y = np.asarray(labels)
         if y.shape != (n,):
             raise DatasetError(f"labels must have shape ({n},), got {y.shape}")
-        # Checked before the cast, which would truncate 0.5 to 0 and 1.7 to 1.
-        ok = (y == 0) | (y == 1)
-        if not np.all(ok):
-            raise DatasetError(f"label outside {{0, 1}} at row {int(np.flatnonzero(~ok)[0])}")
-        y = y.astype(np.int64)
+        y = binary_labels(y)
         if feature_names is not None:
             feature_names = [str(c) for c in feature_names]
             if len(feature_names) != d:
@@ -164,9 +178,7 @@ def fraction_count(fraction, n: int) -> int:
 
     So 0.07 of 100 is 7, where the double product 7.000000000000001 would give 8.
     """
-    test, wording = FRACTION
-    if not (same_kind(0.0, fraction) and test(fraction)):
-        raise ValueError(f"fraction must be {wording}, got {fraction!r}")
+    fraction = check_value("fraction", fraction, 0.0, FRACTION)
     return math.ceil(Fraction(repr(float(fraction))) * n)
 
 
@@ -380,10 +392,9 @@ def make_synthetic_radial(n_id: int, n_ood: int, d: int, seed: int):
     positive, the draw is retried with an incremented seed a bounded number
     of times.
     """
-    if n_id < 10 or n_ood < 10:
-        raise ValueError(f"need at least 10 points per split, got n_id={n_id}, n_ood={n_ood}")
-    if d < 2:
-        raise ValueError(f"labeling rule reads two coordinates, need d >= 2, got d={d}")
+    at_least_10 = (lambda v: v >= 10, ">= 10")
+    n_id, n_ood = check_value("n_id", n_id, 10, at_least_10), check_value("n_ood", n_ood, 10, at_least_10)
+    d = check_value("d", d, 2, (lambda v: v >= 2, ">= 2"))
     names = [f"x{j}" for j in range(d)]
     for attempt in range(16):
         rng = generator(derive_seed(seed + attempt, "synthetic_radial"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_finite, is_int
+from .data import _check_finite, check_value
 
 
 @dataclass
@@ -60,9 +60,9 @@ def fit_pca(X, n_components: int | None = None) -> LatentMap:
     n, d = X.shape
     if n < 2:
         raise ValueError(f"PCA needs at least 2 rows, got {n}")
-    if n_components is not None and not (is_int(n_components) and n_components >= 1):
-        raise ValueError(f"n_components must be None or an integer >= 1, got {n_components!r}")
-    cap = 128 if n_components is None else int(n_components)
+    if n_components is not None:
+        n_components = check_value("n_components", n_components, 0, (lambda v: v >= 1, "None or an integer >= 1"))
+    cap = 128 if n_components is None else n_components
     s = min(cap, n - 1, d)
     mean = X.mean(axis=0)
     _, sing, vt = np.linalg.svd(X - mean, full_matrices=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import fraction_count
+from .data import FRACTION, binary_labels, check_value, fraction_count
 
 
 class ScoredSet:
@@ -32,11 +32,8 @@ class ScoredSet:
             raise ValueError("empty scored set")
         if not np.all(np.isfinite(s)):
             raise ValueError("scores must be finite")
-        if not np.all((y == 0) | (y == 1)):  # before the cast, which would truncate 0.5 to 0
-            raise ValueError("labels must be 0/1")
-        y = y.astype(np.int64)
         self.scores = s
-        self.labels = y
+        self.labels = binary_labels(y)
         self._ranking = None
 
     @property
@@ -83,8 +80,7 @@ def auprc_truncated(s: ScoredSet, tau: float) -> float:
     the precision of the first ranked item with recall >= r; the exact
     integral is divided by tau.
     """
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    tau = check_value("tau", tau, 0.0, FRACTION)
     recall, precision = pr_curve(s)
     # Recall increases exactly at positive items; those define the step levels.
     hit = np.diff(recall, prepend=0.0) > 0
@@ -110,14 +106,14 @@ def auroc(s: ScoredSet) -> float:
     neg = n - pos
     if pos == 0 or neg == 0:
         raise ValueError("auroc needs both classes present")
-    order = np.argsort(s.scores, kind="stable")
-    sorted_scores = s.scores[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    order = s.ranking()
+    ranked = s.scores[order]
+    # Tie groups of the descending ranking: positions [a, b) hold ascending ranks n - b + 1 .. n - a.
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     ends = np.concatenate((starts[1:], [n]))
-    avg_rank = (starts + 1 + ends) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(avg_rank, ends - starts)
-    rank_sum = float(ranks[s.labels == 1].sum())
+    mean_rank = (2 * n + 1 - starts - ends) / 2.0
+    # Half-integers and their sums are exact doubles, so the order of the sum does not matter.
+    rank_sum = float(np.dot(np.add.reduceat(s.labels[order], starts), mean_rank))
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, check_fields, is_int, ranged, same_kind
+from .data import Dataset, check_fields, check_value, is_int, ranged
 from .latent import LatentMap, check_rows, encode, expand_with, fit_pca
 from .pseudolabel import PseudoLabelConfig, PseudoLabelEnsemble, fit_ensemble
 from .seeding import derive_seed, generator
@@ -406,11 +406,8 @@ class TrainedBundle:
             components=np.array(doc["latent_map"]["components"], dtype=np.float64),
             explained_variance=np.array(doc["latent_map"]["explained_variance"], dtype=np.float64),
         )
-        sigma, trace = doc["sigma"], doc["trace"]
-        if not (same_kind(0.0, sigma) and sigma >= 0):
-            raise ValueError(f"bundle sigma must be a finite number >= 0, got {sigma!r}")
-        if not (same_kind([[0.0]], trace) and all(len(t) == 3 for t in trace)):
-            raise ValueError("bundle trace must be a list of [match, mean, expand] triples of finite numbers")
+        sigma = check_value("bundle sigma", doc["sigma"], 0.0, (lambda v: v >= 0, ">= 0"))
+        trace = check_value("bundle trace", doc["trace"], [[0.0]], (lambda v: all(len(t) == 3 for t in v), "a list of [match, mean, expand] triples"))
         ensemble = None if doc["ensemble"] is None else PseudoLabelEnsemble.from_dict(doc["ensemble"])
         net = None if doc["net"] is None else ExplorNet.from_dict(doc["net"])
         if net is not None and net.input_dim != lm.s:
@@ -503,8 +500,7 @@ def train(
     ``redraw_expansion_each_batch`` off, one expansion per training row is
     drawn up front and reused.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = check_value("sigma", sigma, 0.5, (lambda v: v > 0, "> 0"))
     lm, Z = _latent(ds, n_components)
     ens = fit_ensemble(Dataset(Z, ds.labels), pl_cfg)
     pseudo = ens.predict_matrix(Z).astype(np.float64)

@@ -139,8 +139,10 @@ _BLOCK_ROWS = 4096
 def fit_tree(X, y, max_depth: int = 6, min_leaf: int = 2) -> Tree:
     """Grow a CART tree on (X, y) with depth and leaf-size stopping rules.
 
-    This is the level-wise grower run on a block of one tree.
+    This is the level-wise grower run on a block of one tree. ``max_depth``
+    and ``min_leaf`` must be in the ranges :class:`PseudoLabelConfig` declares.
     """
+    cfg = PseudoLabelConfig(max_depth=max_depth, min_leaf=min_leaf)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
@@ -149,7 +151,7 @@ def fit_tree(X, y, max_depth: int = 6, min_leaf: int = 2) -> Tree:
     if d == 0:  # nothing to split on
         return Tree([-1], [0.0], [-1], [-1], [y.sum() / n])
     Xt = np.ascontiguousarray(X.T)
-    (tree,) = _grow(Xt, y, np.argsort(Xt, axis=1, kind="stable"), np.arange(d)[None], max_depth, min_leaf)
+    (tree,) = _grow(Xt, y, np.argsort(Xt, axis=1, kind="stable"), np.arange(d)[None], cfg.max_depth, cfg.min_leaf)
     return tree
 
 

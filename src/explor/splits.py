@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, is_int
+from .data import Dataset, check_value
 from .latent import LatentMap, encode
 from .seeding import generator
 
@@ -81,8 +81,7 @@ def kmeans(Z, k: int, seed: int = 0) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {Z.shape}")
-    if not (is_int(k) and 1 <= k <= Z.shape[0]):
-        raise ValueError(f"k must be an integer in [1, {Z.shape[0]}], got {k!r}")
+    k = check_value("k", k, 1, (lambda v: 1 <= v <= Z.shape[0], f"an integer in [1, {Z.shape[0]}]"))
     centroids, _, _ = _lloyd(Z, k, seed)
     return centroids
 
@@ -145,31 +144,19 @@ class FoldResult:
 def weighted_summary(fold_results) -> dict:
     """Test-size weighted average of every metric across folds.
 
-    Operates on EvalReport dicts so the summary carries the same keys.
+    Operates on EvalReport dicts, walking the first report's keys in their
+    order, so the summary carries the same keys: the ``counts`` are summed.
     """
     if not fold_results:
         raise ValueError("no folds to summarize")
     weights = np.array([fr.test_size for fr in fold_results], dtype=np.float64)
     total = weights.sum()
 
-    def wavg(values):
+    def walk(values, summed):
+        if isinstance(values[0], dict):
+            return {key: walk([v[key] for v in values], summed or key == "counts") for key in values[0]}
+        if summed:
+            return int(sum(values))
         return float(np.dot(weights, np.asarray(values, dtype=np.float64)) / total)
 
-    reports = [fr.report for fr in fold_results]
-    out = {
-        "auprc_at": {},
-        "auprc": wavg([r["auprc"] for r in reports]),
-        "auroc": wavg([r["auroc"] for r in reports]),
-        "ef_at": {},
-        "prevalence": wavg([r["prevalence"] for r in reports]),
-        "counts": {
-            "n": int(sum(r["counts"]["n"] for r in reports)),
-            "positives": int(sum(r["counts"]["positives"] for r in reports)),
-            "negatives": int(sum(r["counts"]["negatives"] for r in reports)),
-        },
-    }
-    for key in reports[0]["auprc_at"]:
-        out["auprc_at"][key] = wavg([r["auprc_at"][key] for r in reports])
-    for key in reports[0]["ef_at"]:
-        out["ef_at"][key] = wavg([r["ef_at"][key] for r in reports])
-    return out
+    return walk([fr.report for fr in fold_results], False)

@@ -65,6 +65,23 @@ def read_rows(path):
         return header, list(reader)
 
 
+def numeric(path, section):
+    """The dotted keys under ``section`` whose values are numbers or lists, ``seed`` aside."""
+    for key, default in section.items():
+        where = f"{path}.{key}" if path else key
+        kind = _NULL_KINDS.get(where, default)
+        if isinstance(kind, dict):
+            yield from numeric(where, kind)
+        elif isinstance(kind, (int, float, list)) and not isinstance(kind, bool) and where != "seed":
+            yield where
+
+
+def nested(where, value):
+    """The config document that sets dotted key ``where`` to ``value``."""
+    section, _, key = where.rpartition(".")
+    return {section: {key: value}} if section else {key: value}
+
+
 class TestConfig:
     def test_defaults_when_no_file(self):
         assert load_config(None) == DEFAULTS
@@ -108,6 +125,7 @@ class TestConfig:
         {"latent": {"components": "2"}},
         {"label_column": 3},
         {"label_column": False},
+        *(nested(where, True) for where in numeric("", DEFAULTS)),
     ])
     def test_wrongly_typed_value_exits_one(self, workdir, capsys, override):
         tmp_path, _ = workdir
@@ -353,16 +371,6 @@ class TestRangesBeforeAnyWork:
 
     def test_every_numeric_key_has_a_range(self):
         """A numeric key cannot ship without a range decision; ``seed`` takes any integer."""
-
-        def numeric(path, section):
-            for key, default in section.items():
-                where = f"{path}.{key}" if path else key
-                kind = _NULL_KINDS.get(where, default)
-                if isinstance(kind, dict):
-                    yield from numeric(where, kind)
-                elif isinstance(kind, (int, float, list)) and not isinstance(kind, bool) and where != "seed":
-                    yield where
-
         assert sorted(set(numeric("", DEFAULTS)) - set(_RANGES)) == []
 
     def test_empty_methods_in_config_file_exits_one(self, workdir, capsys):

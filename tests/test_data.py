@@ -425,3 +425,10 @@ class TestSyntheticRadial:
             make_synthetic_radial(5, 100, 4, seed=0)
         with pytest.raises(ValueError):
             make_synthetic_radial(100, 100, 1, seed=0)
+
+    @pytest.mark.parametrize("args,name", [
+        ((10.5, 10, 2), "n_id"), ((10, True, 2), "n_ood"), ((10, 10, 2.0), "d"), ((10, 10, "3"), "d"),
+    ])
+    def test_non_integer_sizes_rejected_naming_the_argument(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            make_synthetic_radial(*args, 0)

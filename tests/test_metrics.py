@@ -168,6 +168,14 @@ class TestAuprcTruncated:
         s = ScoredSet([0.9, 0.5, 0.4, 0.3], [1, 0, 0, 0])
         assert auprc_truncated(s, 0.2) == 1.0
 
+    def test_bool_tau_rejected(self):
+        """``True`` is not a tau: it would score at tau = 1 and report under the key 1.0."""
+        s = ScoredSet([0.9, 0.1, 0.5], [1, 0, 1])
+        with pytest.raises(ValueError, match=r"tau must be in \(0, 1\] and of the kind of 0.0, got True"):
+            auprc_truncated(s, True)
+        with pytest.raises(ValueError, match="tau must be"):
+            evaluate(s, taus=(True,))
+
     def test_tau_one_is_average_precision(self):
         """With tau = 1 the integral is the mean precision over hit points."""
         rng = np.random.default_rng(7)

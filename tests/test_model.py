@@ -500,6 +500,25 @@ class TestTrain:
         with pytest.raises(ValueError, match="sigma"):
             train(small_ds(), quick_net(its=1), quick_pl(), sigma=float("nan"))
 
+    def test_bool_sigma_rejected(self):
+        """``True`` is not a sigma: it would train, then write a bundle that load_bundle rejects."""
+        with pytest.raises(ValueError, match=r"^sigma must be > 0 and of the kind of 0.5, got True"):
+            train(small_ds(), quick_net(its=1), quick_pl(), sigma=True)
+
+    @pytest.mark.parametrize("sigma,plain", [(np.float32(0.5), 0.5), (np.int64(1), 1)])
+    def test_numpy_sigma_saves_loads_and_scores_bitexact(self, tmp_path, sigma, plain):
+        """A numpy sigma is stored as the Python number: the bundle is the one ``plain`` trains."""
+        ds = small_ds(seed=14)
+        b = train(ds, quick_net(its=6), quick_pl(), n_components=4, sigma=sigma)
+        path, plain_path = tmp_path / "numpy.json", tmp_path / "plain.json"
+        save_bundle(b, path)
+        save_bundle(train(ds, quick_net(its=6), quick_pl(), n_components=4, sigma=plain), plain_path)
+        assert path.read_bytes() == plain_path.read_bytes()
+        back = load_bundle(path)
+        assert back.sigma == plain and type(back.sigma) is type(plain)
+        X = np.random.default_rng(21).standard_normal((30, ds.d))
+        assert np.array_equal(predict(back, X), predict(b, X))
+
 
 class TestErm:
     def test_snapshot_average_is_mean_of_snapshots(self):

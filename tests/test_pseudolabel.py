@@ -307,6 +307,15 @@ class TestFitTree:
         with pytest.raises(ValueError, match="at least one row"):
             fit_tree(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("kw", [
+        {"max_depth": -1}, {"max_depth": 2.5}, {"max_depth": True}, {"min_leaf": 0}, {"min_leaf": -3}, {"min_leaf": 2.0},
+    ])
+    def test_rejects_what_the_config_rejects(self, kw):
+        """fit_tree's depth and leaf size take the ranges PseudoLabelConfig declares."""
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            fit_tree(np.arange(8.0).reshape(4, 2), np.array([0, 0, 1, 1]), **kw)
+
     def test_json_roundtrip(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((50, 3))
