@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import metrics as me
-from .data import FRACTION, Dataset, DatasetError, _read_csv, check_value, draw, fraction_count, load_csv, load_features, make_synthetic_radial, open_text, read_header, read_records, save_csv, write_csv
+from .data import FRACTION, SEED, Dataset, DatasetError, _read_csv, check_value, draw, fraction_count, load_csv, load_features, make_synthetic_radial, open_text, read_header, read_records, save_csv, write_csv
 from .latent import fit_pca
 from .model import (
     LOSS_MODES,
@@ -77,13 +77,14 @@ DEFAULTS = {
 # are the config dataclasses' own declarations.
 _RANGES = {
     "method": (lambda v: v in METHODS, f"one of {METHODS}"),
+    "seed": SEED,
     "latent.components": (lambda v: v >= 1, "null or >= 1"),
     "latent.sigma": (lambda v: v > 0, "> 0"),
     **{
         f"{section}.{f.name}": f.metadata["range"]
         for section, cls in (("pseudo", PseudoLabelConfig), ("net", NetConfig))
         for f in fields(cls)
-        if "range" in f.metadata
+        if "range" in f.metadata and f.name != "seed"  # derived from the config seed, not a key
     },
     "metrics.taus": (lambda v: all(map(FRACTION[0], v)), "a list of values in (0, 1]"),
     "metrics.ef_fractions": (lambda v: all(map(FRACTION[0], v)), "a list of values in (0, 1]"),

@@ -171,6 +171,8 @@ class Dataset:
 
 # The range of every fraction of rows or columns.
 FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+# The range of every seed: ``derive_seed`` reads 64 bits, so a wider seed would alias a narrower one.
+SEED = (lambda v: 0 <= v < 1 << 64, "in [0, 2^64)")
 
 
 def fraction_count(fraction, n: int) -> int:
@@ -394,7 +396,7 @@ def make_synthetic_radial(n_id: int, n_ood: int, d: int, seed: int):
     """
     at_least_10 = (lambda v: v >= 10, ">= 10")
     n_id, n_ood = check_value("n_id", n_id, 10, at_least_10), check_value("n_ood", n_ood, 10, at_least_10)
-    d = check_value("d", d, 2, (lambda v: v >= 2, ">= 2"))
+    d, seed = check_value("d", d, 2, (lambda v: v >= 2, ">= 2")), check_value("seed", seed, 0, SEED)
     names = [f"x{j}" for j in range(d)]
     for attempt in range(16):
         rng = generator(derive_seed(seed + attempt, "synthetic_radial"))

@@ -169,17 +169,6 @@ class EvalReport:
             "counts": dict(self.counts),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalReport":
-        return cls(
-            auprc_at={float(k): v for k, v in doc["auprc_at"].items()},
-            auprc=doc["auprc"],
-            auroc=doc["auroc"],
-            ef_at={float(k): v for k, v in doc["ef_at"].items()},
-            prevalence=doc["prevalence"],
-            counts=dict(doc["counts"]),
-        )
-
 
 def evaluate(s: ScoredSet, taus=(0.1, 0.2, 0.3), ef_fractions=(0.01, 0.05, 0.1)) -> EvalReport:
     """Full EvalReport: truncated AUPRCs, AUPRC, AUROC, enrichment factors."""

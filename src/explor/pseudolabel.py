@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import FRACTION, Dataset, check_fields, draw, fraction_count, ranged
+from .data import FRACTION, SEED, Dataset, check_fields, draw, fraction_count, ranged
 from .seeding import derive_seed, generator
 
 
@@ -60,7 +60,7 @@ class PseudoLabelConfig:
     feature_fraction: float = ranged(0.5, *FRACTION)
     trees_per_labeler: int = ranged(1, lambda v: v >= 1, ">= 1")
     decision_threshold: float = ranged(0.5, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-    seed: int = 0
+    seed: int = ranged(0, *SEED)
 
     def __post_init__(self):
         check_fields(self)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_value
+from .data import SEED, Dataset, check_value
 from .latent import LatentMap, encode
 from .seeding import generator
 
@@ -82,6 +82,7 @@ def kmeans(Z, k: int, seed: int = 0) -> np.ndarray:
     if Z.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {Z.shape}")
     k = check_value("k", k, 1, (lambda v: 1 <= v <= Z.shape[0], f"an integer in [1, {Z.shape[0]}]"))
+    seed = check_value("seed", seed, 0, SEED)
     centroids, _, _ = _lloyd(Z, k, seed)
     return centroids
 
@@ -103,6 +104,7 @@ def cluster_split(ds: Dataset, lm: LatentMap, k: int = 5, seed: int = 0) -> Clus
 
     Requires at least k positive instances.
     """
+    k = check_value("k", k, 1, (lambda v: v >= 1, ">= 1"))
     pos = np.flatnonzero(ds.labels == 1)
     if pos.size < k:
         raise ValueError(f"need at least k={k} positives, got {pos.size}")

@@ -6,7 +6,11 @@ full synth/fit/predict/eval chain stays fast.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -58,6 +62,16 @@ def workdir(tmp_path):
     return tmp_path, cfg_path
 
 
+def test_import_loads_no_thread_pool():
+    """``score`` imports the pool only when it runs on threads, so importing the CLI must not load it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    code = "import sys, explor.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 def read_rows(path):
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -66,13 +80,13 @@ def read_rows(path):
 
 
 def numeric(path, section):
-    """The dotted keys under ``section`` whose values are numbers or lists, ``seed`` aside."""
+    """The dotted keys under ``section`` whose values are numbers or lists."""
     for key, default in section.items():
         where = f"{path}.{key}" if path else key
         kind = _NULL_KINDS.get(where, default)
         if isinstance(kind, dict):
             yield from numeric(where, kind)
-        elif isinstance(kind, (int, float, list)) and not isinstance(kind, bool) and where != "seed":
+        elif isinstance(kind, (int, float, list)) and not isinstance(kind, bool):
             yield where
 
 
@@ -331,6 +345,7 @@ class TestRangesBeforeAnyWork:
         ("fit", ["--batch-size", "0"], "net.batch_size"),
         ("fit", ["--hidden", "8,0"], "net.hidden"),
         ("synth", ["--n-id", "3"], "synth.n_id"),
+        ("synth", ["--seed", "-1"], "seed"),
     ])
     def test_flag_exits_one_naming_its_key(self, workdir, capsys, command, argv, key):
         tmp_path, cfg_path = workdir
@@ -370,7 +385,7 @@ class TestRangesBeforeAnyWork:
         assert not out.exists()
 
     def test_every_numeric_key_has_a_range(self):
-        """A numeric key cannot ship without a range decision; ``seed`` takes any integer."""
+        """A numeric key cannot ship without a range decision."""
         assert sorted(set(numeric("", DEFAULTS)) - set(_RANGES)) == []
 
     def test_empty_methods_in_config_file_exits_one(self, workdir, capsys):

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explor.metrics import (
-    EvalReport,
     ScoredSet,
     auprc,
     auprc_truncated,
@@ -343,16 +342,6 @@ class TestEvaluate:
         assert rep.prevalence == 0.6
         assert rep.counts == {"n": 5, "positives": 3, "negatives": 2}
         assert rep.ef_at[1.0] == 1.0
-
-    def test_dict_roundtrip(self):
-        s = ScoredSet([0.9, 0.1, 0.5, 0.2], [1, 0, 1, 0])
-        rep = evaluate(s)
-        back = EvalReport.from_dict(rep.to_dict())
-        assert back.auprc_at == rep.auprc_at
-        assert back.ef_at == rep.ef_at
-        assert back.auprc == rep.auprc
-        assert back.auroc == rep.auroc
-        assert back.counts == rep.counts
 
 
 @st.composite

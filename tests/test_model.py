@@ -204,7 +204,7 @@ class TestNetInit:
 
     def test_serialization_roundtrip(self):
         net = ExplorNet(3, (5, 4), 2, seed=1)
-        net.params["heads.w"] += 0.37
+        net.params["heads.w"][...] += 0.37
         back = ExplorNet.from_dict(json.loads(json.dumps(net.to_dict())))
         Z = np.random.default_rng(2).standard_normal((6, 3))
         assert np.array_equal(back.logits(Z), net.logits(Z))
@@ -219,8 +219,8 @@ def random_problem(rng, heads, need_exp=True):
     b = int(rng.integers(2, 6))
     for _ in range(64):
         net = ExplorNet(s, hidden, heads, seed=int(rng.integers(1 << 30)))
-        for name in net.param_names():
-            net.params[name] = rng.normal(0.0, 0.6, size=net.params[name].shape)
+        for name in net.params:
+            net.params[name][...] = rng.normal(0.0, 0.6, size=net.params[name].shape)
         Z = rng.normal(0.0, 1.0, size=(b, s))
         G = rng.integers(0, 2, size=(b, heads)).astype(np.float64)
         Zx = Z * (1.0 + np.abs(rng.normal(0.0, 0.5, size=b)))[:, None]
@@ -253,9 +253,9 @@ def test_gradients_match_finite_differences(mode, heads):
             t, _ = loss_terms(net, Z, G, Zx, Gx, cfg)
             return t
 
-        for name in net.param_names():
+        for name in net.params:
             fd = fd_gradient(total, net.params, name)
-            err = np.max(rel_err(grads[name], fd))
+            err = np.max(rel_err(net.views(grads)[name], fd))
             assert err < 1e-5, f"{mode} {name} trial {trial}: rel err {err}"
 
 
@@ -267,9 +267,9 @@ def test_lambda_scales_expansion_gradient():
     _, _, g0 = loss_and_grads(net, Z, G, Zx, Gx, base)
     _, _, g1 = loss_and_grads(net, Z, G, Zx, Gx, bumped)
     _, _, g_none = loss_and_grads(net, Z, G, None, None, base)
-    for name in net.param_names():
-        assert np.array_equal(g0[name], g_none[name])
-        assert not np.array_equal(g0[name], g1[name])
+    for name in net.params:
+        assert np.array_equal(net.views(g0)[name], net.views(g_none)[name])
+        assert not np.array_equal(net.views(g0)[name], net.views(g1)[name])
 
 
 def test_zero_lambda_total_is_match_plus_mean():
@@ -291,8 +291,8 @@ def test_mean_term_gradient_vanishes_at_balance():
     _, parts, gf = loss_and_grads(net, Z, G, 2.0 * Z, G, full)
     _, _, gm = loss_and_grads(net, Z, G, 2.0 * Z, G, match)
     assert parts["mean"] == 0.0
-    for name in net.param_names():
-        assert np.array_equal(gf[name], gm[name])
+    for name in net.params:
+        assert np.array_equal(net.views(gf)[name], net.views(gm)[name])
 
 
 def test_single_head_equals_mean_only_with_one_head():
@@ -303,8 +303,8 @@ def test_single_head_equals_mean_only_with_one_head():
     ta, _, ga = loss_and_grads(net, Z, G, Zx, Gx, a)
     tb, _, gb = loss_and_grads(net, Z, G, Zx, Gx, b)
     assert abs(ta - tb) < 1e-12
-    for name in net.param_names():
-        assert np.allclose(ga[name], gb[name], rtol=0, atol=1e-12)
+    for name in net.params:
+        assert np.allclose(net.views(ga)[name], net.views(gb)[name], rtol=0, atol=1e-12)
 
 
 def test_single_head_needs_one_head_net():
@@ -368,20 +368,19 @@ def test_adam_matches_scalar_oracle():
     m = [[0.0] * 4 for _ in range(3)]
     v = [[0.0] * 4 for _ in range(3)]
     for t in range(1, 6):
-        grads = {name: rng.standard_normal(p.shape) for name, p in net.params.items()}
-        kept = {name: g.copy() for name, g in grads.items()}
+        grads = rng.standard_normal(net.size)
+        kept = grads.copy()
         opt.step(grads)
-        for name, g in grads.items():
-            assert g.tobytes() == kept[name].tobytes(), f"step changed grads[{name!r}]"
+        assert grads.tobytes() == kept.tobytes(), "step changed grads"
         for i, j in np.ndindex(3, 4):
-            g = float(grads["heads.w"][i, j])
+            g = float(net.views(grads)["heads.w"][i, j])
             m[i][j] = b1 * m[i][j] + (1.0 - b1) * g
             v[i][j] = b2 * v[i][j] + (1.0 - b2) * g * g
             m_hat = m[i][j] / (1.0 - b1**t)
             v_hat = v[i][j] / (1.0 - b2**t)
             theta[i][j] -= lr * m_hat / (math.sqrt(v_hat) + eps)
-        assert opt.m["heads.w"].tolist() == m, t
-        assert opt.v["heads.w"].tolist() == v, t
+        assert net.views(opt.m)["heads.w"].tolist() == m, t
+        assert net.views(opt.v)["heads.w"].tolist() == v, t
         assert net.params["heads.w"].tolist() == theta, t
 
 
@@ -394,14 +393,70 @@ def test_backward_leaves_cache_and_dlogits_unchanged():
     dlogits = rng.standard_normal(logits.shape)
     acts, pres = cache
     kept = [a.copy() for a in acts] + [p.copy() for p in pres] + [dlogits.copy()]
-    net.backward(cache, dlogits, net.zero_grads())
+    net.backward(cache, dlogits, net.views(np.zeros(net.size)))
     after = list(acts) + list(pres) + [dlogits]
     assert [a.tobytes() for a in after] == [a.tobytes() for a in kept]
 
 
 def test_adam_step_order_is_param_name_order():
     net = ExplorNet(2, (3,), 2, seed=1)
-    assert net.param_names() == ["trunk.0.w", "trunk.0.b", "heads.w", "heads.b"]
+    assert list(net.params) == ["trunk.0.w", "trunk.0.b", "heads.w", "heads.b"]
+
+
+class TestFlatLayout:
+    """Weights, gradients and Adam's moments are each one float64 array of ``net.size``, named by ``net.views``."""
+
+    def test_every_buffer_is_one_flat_array(self):
+        rng = np.random.default_rng(4)
+        net, Z, G, Zx, Gx = random_problem(rng, 3)
+        cfg = NetConfig(hidden=net.hidden, seed=0)
+        _, _, grads = loss_and_grads(net, Z, G, Zx, Gx, cfg)
+        opt = Adam(net, cfg)
+        assert net.size == sum(p.size for p in net.params.values())
+        for a in (net.flat, grads, opt.m, opt.v):
+            assert a.shape == (net.size,) and a.dtype == np.float64 and a.flags.c_contiguous
+
+    def test_params_are_views_of_flat(self):
+        net = ExplorNet(3, (5, 4), 2, seed=1)
+        back = ExplorNet.from_dict(json.loads(json.dumps(net.to_dict())))
+        for n in (net, back):
+            assert all(np.shares_memory(p, n.flat) for p in n.params.values())
+            assert n.flat.tobytes() == np.concatenate([p.ravel() for p in n.params.values()]).tobytes()
+        assert back.flat.tobytes() == net.flat.tobytes()
+
+    def test_a_param_cannot_be_rebound(self):
+        net = ExplorNet(3, (5,), 2, seed=1)
+        with pytest.raises(TypeError):
+            net.params["heads.w"] = np.ones((2, 5))
+        with pytest.raises(TypeError):
+            net.params["heads.w"] += 1.0  # the in-place add succeeds, the rebind that follows does not
+        net.params["heads.b"][...] = 2.0
+        assert np.all(net.views(net.flat)["heads.b"] == 2.0)
+
+    def test_forward_sees_the_adam_update(self):
+        net = ExplorNet(3, (5,), 2, seed=1)
+        opt = Adam(net, NetConfig(hidden=(5,), learning_rate=0.1, seed=0))
+        Z = np.random.default_rng(2).standard_normal((4, 3))
+        before = net.logits(Z)
+        opt.step(np.random.default_rng(3).standard_normal(net.size))
+        other = ExplorNet(3, (5,), 2, seed=2)
+        other.flat[...] = net.flat
+        assert not np.array_equal(net.logits(Z), before)
+        assert net.logits(Z).tobytes() == other.logits(Z).tobytes()
+
+    def test_adam_bytes_do_not_depend_on_the_chunk(self, monkeypatch):
+        cfg = NetConfig(hidden=(5, 4), learning_rate=0.01, seed=0)
+        states = []
+        for chunk in (7, model._ADAM_CHUNK, 1 << 30):
+            monkeypatch.setattr(model, "_ADAM_CHUNK", chunk)
+            net = ExplorNet(3, (5, 4), 2, seed=1)
+            assert net.size % 7 != 0
+            opt = Adam(net, cfg)
+            rng = np.random.default_rng(8)
+            for _ in range(5):
+                opt.step(rng.standard_normal(net.size))
+            states.append((net.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
+        assert states[0] == states[1] == states[2]
 
 
 # ----------------------------------------------------------- training api
@@ -438,7 +493,7 @@ class TestTrain:
         b2 = train(ds, quick_net(), quick_pl(), n_components=4)
         assert b1.trace == b2.trace
         assert np.array_equal(predict(b1, X), predict(b2, X))
-        for name in b1.net.param_names():
+        for name in b1.net.params:
             assert np.array_equal(b1.net.params[name], b2.net.params[name])
 
     def test_zero_iterations_predicts_shifted_ensemble_mean(self):
@@ -468,7 +523,7 @@ class TestTrain:
             total, parts, grads = loss_and_grads(*args, **kwargs)
             calls.append(1)
             if len(calls) == 3:
-                grads = dict(grads, **{"heads.b": np.full_like(grads["heads.b"], np.nan)})
+                args[0].views(grads)["heads.b"][...] = np.nan
             return total, parts, grads
 
         monkeypatch.setattr(model, "loss_and_grads", nan_at_three)
@@ -527,7 +582,7 @@ class TestErm:
         a = train_erm(ds, quick_net(its=1, snapshot_interval=1), heads=3, n_components=4)
         b = train_erm(ds, quick_net(its=2, snapshot_interval=2), heads=3, n_components=4)
         c = train_erm(ds, quick_net(its=2, snapshot_interval=1), heads=3, n_components=4)
-        for name in c.net.param_names():
+        for name in c.net.params:
             expect = (a.net.params[name] + b.net.params[name]) / 2.0
             assert np.array_equal(c.net.params[name], expect)
 
@@ -536,7 +591,7 @@ class TestErm:
         plain = train_erm(ds, quick_net(its=5, snapshot_interval=100), heads=2, n_components=4)
         snap = train_erm(ds, quick_net(its=5, snapshot_interval=5), heads=2, n_components=4)
         # One snapshot at the last iteration equals the final parameters.
-        for name in plain.net.param_names():
+        for name in plain.net.params:
             assert np.array_equal(plain.net.params[name], snap.net.params[name])
 
     def test_loss_mode_and_lambda_ignored_but_kept_in_bundle(self):
@@ -547,7 +602,7 @@ class TestErm:
         odd = train_erm(ds, cfg, heads=3, n_components=4)
         assert odd.net_config == cfg
         assert odd.trace == base.trace and all(row[1:] == (0.0, 0.0) for row in odd.trace)
-        for name in base.net.param_names():
+        for name in base.net.params:
             assert np.array_equal(odd.net.params[name], base.net.params[name])
 
     def test_divergence_raises(self):

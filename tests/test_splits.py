@@ -124,6 +124,13 @@ class TestClusterSplit:
         with pytest.raises(ValueError, match="positives"):
             cluster_split(ds, lm, k=3)
 
+    @pytest.mark.parametrize("k", ["2", True, 2.0, 0])
+    def test_k_is_checked_before_the_positives_are_counted(self, k):
+        """A ``k`` that is no integer >= 1 is a ValueError naming ``k``, never a TypeError from ``pos.size < k``."""
+        ds = random_ds(seed=1)
+        with pytest.raises(ValueError, match=r"^k must be >= 1"):
+            cluster_split(ds, fit_pca(ds.features, 3), k=k)
+
     def test_folds_partition_dataset(self):
         ds = random_ds(seed=3, n=90)
         lm = fit_pca(ds.features, 3)
