@@ -324,19 +324,23 @@ def run_stability(
 
     The methods, trial count and subsample fraction come from
     ``cfg["stability"]``. Subsample draws are shared across methods trial by
-    trial, so methods see identical training rows. Explicit seed lists
-    override the derived ones (forcing identical seeds reproduces identical
-    trainings exactly).
+    trial, so methods see identical training rows. Explicit seed lists, one
+    seed in [0, 2^64) per trial, override the derived ones (forcing identical
+    seeds reproduces identical trainings exactly).
     """
     stab = cfg["stability"]
     methods, trials, fraction = stab["methods"], stab["trials"], stab["subsample_fraction"]
     _check_range(cfg, "stability.trials")
+    _check_range(cfg, "seed")
     count = fraction_count(fraction, train_ds.n)
     seed = cfg["seed"]
     if subsample_seeds is None:
         subsample_seeds = [derive_seed(seed, "stability_subsample", t) for t in range(trials)]
     if train_seeds is None:
         train_seeds = [derive_seed(seed, "stability_train", t) for t in range(trials)]
+    one_per_trial = (lambda v: len(v) == trials and all(map(SEED[0], v)), f"a list of {trials} seeds {SEED[1]}")
+    subsample_seeds = check_value("subsample_seeds", subsample_seeds, [0], one_per_trial)
+    train_seeds = check_value("train_seeds", train_seeds, [0], one_per_trial)
     out = {"trials": trials, "subsample_fraction": fraction, "methods": {}}
     for method in methods:
         mcfg = copy.deepcopy(cfg)

@@ -391,15 +391,15 @@ def make_synthetic_radial(n_id: int, n_ood: int, d: int, seed: int):
     farther from the origin than every train point.
 
     If a draw leaves the train set single-class or the test set without a
-    positive, the draw is retried with an incremented seed a bounded number
-    of times.
+    positive, the draw is retried a bounded number of times, attempt ``a``
+    drawing from the stream ``derive_seed(seed, "synthetic_radial", a)``.
     """
     at_least_10 = (lambda v: v >= 10, ">= 10")
     n_id, n_ood = check_value("n_id", n_id, 10, at_least_10), check_value("n_ood", n_ood, 10, at_least_10)
     d, seed = check_value("d", d, 2, (lambda v: v >= 2, ">= 2")), check_value("seed", seed, 0, SEED)
     names = [f"x{j}" for j in range(d)]
     for attempt in range(16):
-        rng = generator(derive_seed(seed + attempt, "synthetic_radial"))
+        rng = generator(derive_seed(seed, "synthetic_radial", attempt))
         total = 2 * (n_id + n_ood)
         X = rng.standard_normal((total, d))
         norms = np.linalg.norm(X, axis=1)

@@ -23,9 +23,13 @@ start at zero, so an untrained net outputs probability 0.5 on every head and
 the bagged predictor degrades to (ensemble_mean + 0.5) / 2.
 
 Everything is float64 numpy; with a fixed seed, training is reproducible
-bit-for-bit (single fixed reduction order, one Python thread). Scoring runs
-its fixed blocks on threads, each writing only its own rows, so its bytes do
-not depend on the thread count.
+bit-for-bit: every reduction has one fixed order. When BLAS is pinned to one
+thread and the net has more than one ``_ADAM_CHUNK`` of parameters, the loop
+runs each layer's weight-gradient product and half of each Adam step on a
+second thread; every product is still one BLAS call of the same shapes and
+every gradient is summed in the same order, so the bytes do not change.
+Scoring runs its fixed blocks on threads, each writing only its own rows, so
+its bytes do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -87,19 +91,19 @@ class TrainingDivergence(RuntimeError):
         self.trace = trace
 
 
-def elu(x: np.ndarray) -> np.ndarray:
+def elu(x: np.ndarray, out=None) -> np.ndarray:
     # max(x, expm1(min(0, x))) is exact: expm1(x) >= x below zero, and expm1(0) = 0
     # leaves x above it. No mask, so the SIMD loops run; min(0.0, x) keeps -0.0.
     x = np.asarray(x, dtype=np.float64)
-    out = np.minimum(0.0, x)
+    out = np.minimum(0.0, x, out=out)
     np.expm1(out, out=out)
     np.maximum(x, out, out=out)
     return out
 
 
-def elu_grad(x: np.ndarray) -> np.ndarray:
+def elu_grad(x: np.ndarray, out=None) -> np.ndarray:
     # exp(min(0, x)): exactly 1 above zero, exp(x) at and below; fmin sends NaN to 1.
-    out = np.fmin(0.0, x)
+    out = np.fmin(0.0, x, out=out)
     np.exp(out, out=out)
     return out
 
@@ -119,6 +123,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def bce_logits(z: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Elementwise binary cross-entropy on logits, stable at saturation."""
     return np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))
+
+
+def _shaped(buf: np.ndarray, shape) -> np.ndarray:
+    """The leading ``prod(shape)`` values of the flat ``buf`` as a C-ordered array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _add_product(a, b, product, total) -> None:
+    """total += a @ b, the product formed in ``product``. Plain numpy only: it runs on the training worker thread."""
+    np.matmul(a, b, out=product)
+    total += product
 
 
 @dataclass(frozen=True)
@@ -178,36 +193,64 @@ class ExplorNet:
             start = stop
         return out
 
-    def forward(self, Z: np.ndarray):
-        """Head logits for latent rows Z, plus the caches backward needs."""
+    def outputs(self, rows: int):
+        """Fresh arrays for ``forward`` on ``rows`` rows: (pre-activations, activations, logits)."""
+        return [np.empty((rows, h)) for h in self.hidden], [np.empty((rows, h)) for h in self.hidden], np.empty((rows, self.heads))
+
+    def scratch(self, rows: int):
+        """Fresh flat arrays for ``backward`` on ``rows`` rows: (elu_grad, delta, weight product), each the largest its layers need."""
+        widest = max(self.hidden)
+        largest = max(math.prod(shape) for shape in self._shapes.values())
+        return np.empty(rows * widest), np.empty(rows * widest), np.empty(largest)
+
+    def forward(self, Z: np.ndarray, out=None):
+        """Head logits for latent rows Z, plus the caches backward needs.
+
+        Written into ``out``, arrays as ``outputs(len(Z))`` makes; fresh ones if None.
+        """
         Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim != 2 or Z.shape[1] != self.input_dim:
             raise ValueError(f"expected shape (N, {self.input_dim}), got {Z.shape}")
-        acts = [Z]
-        pres = []
-        for i in range(len(self.hidden)):
-            pre = acts[-1] @ self.params[f"trunk.{i}.w"].T + self.params[f"trunk.{i}.b"]
-            pres.append(pre)
-            acts.append(elu(pre))
-        logits = acts[-1] @ self.params["heads.w"].T + self.params["heads.b"]
-        return logits, (acts, pres)
+        pres, acts, logits = self.outputs(len(Z)) if out is None else out
+        a = Z
+        for i, (pre, act) in enumerate(zip(pres, acts)):
+            np.matmul(a, self.params[f"trunk.{i}.w"].T, out=pre)
+            pre += self.params[f"trunk.{i}.b"]
+            a = elu(pre, out=act)
+        np.matmul(a, self.params["heads.w"].T, out=logits)
+        logits += self.params["heads.b"]
+        return logits, ([Z, *acts], pres)
 
     def logits(self, Z: np.ndarray) -> np.ndarray:
         return self.forward(Z)[0]
 
-    def backward(self, cache, dlogits: np.ndarray, grads: dict) -> None:
-        """Accumulate parameter gradients for one batch given dL/dlogits."""
+    def backward(self, cache, dlogits: np.ndarray, grads: dict, scratch=None, pool=None) -> None:
+        """Accumulate parameter gradients for one batch given dL/dlogits.
+
+        ``scratch`` is arrays as ``scratch(rows)`` makes; fresh ones if None.
+        With ``pool``, one worker thread, each layer's weight-gradient product
+        and its add run there beside the layer's delta product. Either way
+        every product is one BLAS call of the same shapes, and each gradient
+        view is added into once per batch, so the bytes are the same.
+        """
         acts, pres = cache
-        grads["heads.w"] += dlogits.T @ acts[-1]
-        grads["heads.b"] += dlogits.sum(axis=0)
-        delta = dlogits @ self.params["heads.w"]
-        for i in reversed(range(len(self.hidden))):
-            dpre = elu_grad(pres[i])
-            dpre *= delta
-            grads[f"trunk.{i}.w"] += dpre.T @ acts[i]
-            grads[f"trunk.{i}.b"] += dpre.sum(axis=0)
-            if i > 0:
-                delta = dpre @ self.params[f"trunk.{i}.w"]
+        rows = len(dlogits)
+        dpre_buf, delta_buf, product = self.scratch(rows) if scratch is None else scratch
+        layers = [f"trunk.{i}" for i in range(len(self.hidden))] + ["heads"]
+        delta = dlogits
+        for i in reversed(range(len(layers))):
+            w = self.params[f"{layers[i]}.w"]
+            if i < len(self.hidden):
+                dpre = elu_grad(pres[i], out=_shaped(dpre_buf, pres[i].shape))
+                dpre *= delta
+                delta = dpre
+            job = (delta.T, acts[i], _shaped(product, w.shape), grads[f"{layers[i]}.w"])
+            done = _add_product(*job) if pool is None else pool.submit(_add_product, *job)
+            grads[f"{layers[i]}.b"] += delta.sum(axis=0)
+            below = None if i == 0 else np.matmul(delta, w, out=_shaped(delta_buf, (rows, w.shape[1])))
+            if done is not None:
+                done.result()
+            delta = below
         return None
 
     def to_dict(self) -> dict:
@@ -276,76 +319,126 @@ def _term(kind, logits, probs, targets):
     return float(value), dp[:, None] * (probs * (1.0 - probs)) / (b * k)
 
 
-def _batch(net: ExplorNet, Z, targets, kinds, single_head):
-    """(term values in ``kinds`` order, their summed dL/dlogits, forward cache) of one batch."""
+def _batch(net: ExplorNet, Z, targets, kinds, single_head, out=None):
+    """(term values in ``kinds`` order, their summed dL/dlogits, forward cache) of one batch; ``out`` as for ``forward``."""
     targets = np.asarray(targets, dtype=np.float64)
     if single_head:
         targets = targets.mean(axis=1, keepdims=True)
-    logits, cache = net.forward(Z)
+    logits, cache = net.forward(Z, out)
     probs = sigmoid(logits)
     values, ds = zip(*(_term(kind, logits, probs, targets) for kind in kinds))
     # Summed in ``kinds`` order, so full's gradient is d_match + d_mean.
     return values, sum(ds[1:], ds[0]), cache
 
 
-def loss_and_grads(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig, want_grads=True):
-    """Loss total, the (match, mean, expand) parts and the gradient, laid out as ``net.flat`` (None unless ``want_grads``)."""
+class _Workspace:
+    """The arrays one training loop writes each step into, held for its whole life.
+
+    ``raw`` and ``exp`` are the forward outputs of the raw and the expanded
+    batch (``exp`` is None without expansion), ``scratch`` is backward's,
+    ``grads`` the flat gradient, zeroed in place each step, and ``pool`` the
+    worker thread of ``_fit_net``, or None.
+    """
+
+    def __init__(self, net: ExplorNet, rows: int, expand: bool, pool=None):
+        self.raw = net.outputs(rows)
+        self.exp = net.outputs(rows) if expand else None
+        self.scratch = net.scratch(rows)
+        self.grads = np.empty(net.size)
+        self.pool = pool
+
+
+def loss_and_grads(net: ExplorNet, Z, targets, Z_exp, targets_exp, cfg: NetConfig, want_grads=True, work=None):
+    """Loss total, the (match, mean, expand) parts and the gradient, laid out as ``net.flat`` (None unless ``want_grads``).
+
+    With ``work``, a ``_Workspace`` for these rows, the batch arrays are
+    written into it and the gradient returned is ``work.grads``; without,
+    they are fresh.
+    """
     raw_kinds, exp_kind = _TERMS[cfg.loss_mode]
     single_head = cfg.loss_mode == "single_head"
     if single_head and net.heads != 1:
         raise ValueError("single_head loss requires a one-head network")
-    values, dlogits, cache = _batch(net, Z, targets, raw_kinds, single_head)
+    values, dlogits, cache = _batch(net, Z, targets, raw_kinds, single_head, work and work.raw)
     parts = {"match": 0.0, "mean": 0.0, "expand": 0.0}
     for kind, value in zip(raw_kinds, values):
         parts["match" if kind == "match" else "mean"] = value
     if Z_exp is not None:
-        (parts["expand"],), d_exp, cache_exp = _batch(net, Z_exp, targets_exp, (exp_kind,), single_head)
+        (parts["expand"],), d_exp, cache_exp = _batch(net, Z_exp, targets_exp, (exp_kind,), single_head, work and work.exp)
     total = parts["match"] + parts["mean"] + cfg.lambda_expand * parts["expand"]
     if not want_grads:
         return total, parts, None
 
-    grads = np.zeros(net.size)
+    if work is None:
+        grads, scratch, pool = np.zeros(net.size), None, None
+    else:
+        grads, scratch, pool = work.grads, work.scratch, work.pool
+        grads.fill(0.0)
     views = net.views(grads)
-    net.backward(cache, dlogits, views)
+    net.backward(cache, dlogits, views, scratch, pool)
     if Z_exp is not None and cfg.lambda_expand != 0.0:
-        net.backward(cache_exp, cfg.lambda_expand * d_exp, views)
+        net.backward(cache_exp, cfg.lambda_expand * d_exp, views, scratch, pool)
     return total, parts, grads
 
 
 class Adam:
-    """Adam with bias correction; ``m`` and ``v`` are laid out as ``net.flat``."""
+    """Adam with bias correction; ``m`` and ``v`` are laid out as ``net.flat``.
 
-    def __init__(self, net: ExplorNet, cfg: NetConfig):
+    With ``pool``, one worker thread, a step updates the second half of the
+    parameters there while the caller's thread updates the first. Each
+    thread has its own two temporaries of one ``_ADAM_CHUNK``.
+    """
+
+    def __init__(self, net: ExplorNet, cfg: NetConfig, pool=None):
         self.net = net
         self.cfg = cfg
         self.t = 0
         self.m = np.zeros(net.size)
         self.v = np.zeros(net.size)
+        self.pool = pool
+        self._temps = [np.empty((2, min(_ADAM_CHUNK, net.size))) for _ in range(1 if pool is None else 2)]
 
     def step(self, grads: np.ndarray) -> None:
         self.t += 1
         c = self.cfg
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
-        for lo in range(0, self.net.size, _ADAM_CHUNK):
-            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
-            # params -= lr * m_hat / (sqrt(v_hat) + eps), in place and in that
-            # operation order, so every byte is the same with two temporaries.
-            g, m, v = (a[lo : lo + _ADAM_CHUNK] for a in (grads, self.m, self.v))
-            t = (1.0 - c.beta1) * g
-            m *= c.beta1
-            m += t
-            np.multiply(1.0 - c.beta2, g, out=t)
-            t *= g
-            v *= c.beta2
-            v += t
-            np.divide(m, bc1, out=t)
-            t *= c.learning_rate
-            denom = v / bc2
-            np.sqrt(denom, out=denom)
-            denom += c.eps
-            t /= denom
-            self.net.flat[lo : lo + _ADAM_CHUNK] -= t
+        consts = (c.beta1, c.beta2, 1.0 - c.beta1**self.t, 1.0 - c.beta2**self.t, c.learning_rate, c.eps)
+        arrays = (self.net.flat, grads, self.m, self.v)
+        size = self.net.size
+        if self.pool is None:
+            _adam_update(arrays, 0, size, self._temps[0], consts)
+            return
+        half = size // 2
+        done = self.pool.submit(_adam_update, arrays, half, size, self._temps[1], consts)
+        _adam_update(arrays, 0, half, self._temps[0], consts)
+        done.result()
+
+
+def _adam_update(arrays, lo: int, hi: int, temps: np.ndarray, consts) -> None:
+    """Adam's update of parameters [lo, hi), a chunk of ``temps``' width at a time. Plain numpy only: it runs on the training worker thread."""
+    flat, grads, m_all, v_all = arrays
+    beta1, beta2, bc1, bc2, lr, eps = consts
+    chunk = temps.shape[1]
+    for a in range(lo, hi, chunk):
+        b = min(a + chunk, hi)
+        # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+        # params -= lr * m_hat / (sqrt(v_hat) + eps), in place and in that
+        # operation order, so every byte is the same with two temporaries.
+        g, m, v = grads[a:b], m_all[a:b], v_all[a:b]
+        t, denom = temps[0, : b - a], temps[1, : b - a]
+        np.multiply(1.0 - beta1, g, out=t)
+        m *= beta1
+        m += t
+        np.multiply(1.0 - beta2, g, out=t)
+        t *= g
+        v *= beta2
+        v += t
+        np.divide(m, bc1, out=t)
+        t *= lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        t /= denom
+        flat[a:b] -= t
 
 
 def _batches(n: int, batch_size: int, seed: int):
@@ -470,25 +563,45 @@ def _fit_net(Z, targets, heads: int, cfg: NetConfig, expansion=None, snapshot_in
     ``idx``. With ``snapshot_interval`` the net ends as the mean of the
     snapshots taken every that many iterations, if any. Returns the net and
     the trace.
+
+    The loop holds one ``_Workspace``, Adam's temporaries and the snapshot
+    sum for its whole life, so a step allocates no array of a batch's
+    activations. When ``_thread_cpus`` finds two or more and the net has more
+    than one ``_ADAM_CHUNK`` of parameters, the loop starts one worker
+    thread for backward's weight-gradient products and half of each Adam
+    step; it is shut down on every way out of the loop.
     """
     net = ExplorNet(Z.shape[1], cfg.hidden, heads, seed=cfg.seed)
-    opt = Adam(net, cfg)
-    batches = _batches(len(Z), cfg.batch_size, derive_seed(cfg.seed, "batches"))
-    trace = []
-    snapshots = []
-    for it, idx in zip(range(1, cfg.iterations + 1), batches):
-        Zx, Gx = (None, None) if expansion is None else expansion(idx)
-        total, parts, grads = loss_and_grads(net, Z[idx], targets[idx], Zx, Gx, cfg)
-        _check_finite(net, grads, "gradient in", trace)
-        opt.step(grads)
-        _check_finite(net, net.flat, "parameter after the update:", trace)
-        trace.append((parts["match"], parts["mean"], parts["expand"]))
-        if total > 1e6:
-            raise TrainingDivergence(f"loss diverged to {total}", trace)
-        if snapshot_interval is not None and it % snapshot_interval == 0:
-            snapshots.append(net.flat.copy())
+    pool = None
+    if net.size > _ADAM_CHUNK and _thread_cpus() >= 2:
+        # Imported here, so a process that never trains on threads does not load it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)
+    try:
+        work = _Workspace(net, min(cfg.batch_size, len(Z)), expansion is not None, pool)
+        opt = Adam(net, cfg, pool)
+        batches = _batches(len(Z), cfg.batch_size, derive_seed(cfg.seed, "batches"))
+        trace = []
+        # Summed as taken, from zero and in order: the bytes of sum(snapshots).
+        snapshot_sum, snapshots = (None if snapshot_interval is None else np.zeros(net.size)), 0
+        for it, idx in zip(range(1, cfg.iterations + 1), batches):
+            Zx, Gx = (None, None) if expansion is None else expansion(idx)
+            total, parts, grads = loss_and_grads(net, Z[idx], targets[idx], Zx, Gx, cfg, work=work)
+            _check_finite(net, grads, "gradient in", trace)
+            opt.step(grads)
+            _check_finite(net, net.flat, "parameter after the update:", trace)
+            trace.append((parts["match"], parts["mean"], parts["expand"]))
+            if total > 1e6:
+                raise TrainingDivergence(f"loss diverged to {total}", trace)
+            if snapshot_interval is not None and it % snapshot_interval == 0:
+                snapshot_sum += net.flat
+                snapshots += 1
+    finally:
+        if pool is not None:
+            pool.shutdown()
     if snapshots:
-        net.flat[...] = sum(snapshots) / len(snapshots)
+        net.flat[...] = snapshot_sum / snapshots
     return net, trace
 
 
@@ -626,7 +739,7 @@ def _score(bundle: TrainedBundle, X, keep_columns: bool):
             columns[start : start + m] = parts[0][:m]
 
     starts = range(0, n, _SCORE_BLOCK)
-    workers = min(_scoring_cpus(), -(-len(starts) // _BLOCKS_PER_WORKER), _SCORE_WORKERS)
+    workers = min(_thread_cpus(), -(-len(starts) // _BLOCKS_PER_WORKER), _SCORE_WORKERS)
     if workers <= 1:
         for start in starts:
             run(start)
@@ -644,8 +757,8 @@ def _score(bundle: TrainedBundle, X, keep_columns: bool):
     return scores, columns
 
 
-def _scoring_cpus() -> int:
-    """The CPUs ``score`` may start threads on: one unless ``_BLAS_THREAD_VARS`` pin BLAS to one thread.
+def _thread_cpus() -> int:
+    """The CPUs ``score`` and ``_fit_net`` may start threads on: one unless ``_BLAS_THREAD_VARS`` pin BLAS to one thread.
 
     Every one of those variables that is set must read 1, so a larger value
     in any of them counts as BLAS threading its own products.

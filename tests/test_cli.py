@@ -914,6 +914,25 @@ class TestStability:
             run_stability(train_ds, test_ds, self.merged(["erm"], trials=2, fraction=0.07))
         assert [call.args[1].n for call in fit.call_args_list] == [7, 7]
 
+    @pytest.mark.parametrize("bad", [-1, 2**64, 2.5, True])
+    @pytest.mark.parametrize("where", ["seed", "subsample_seeds", "train_seeds"])
+    def test_seed_outside_the_seed_range_rejected(self, where, bad):
+        """Seeds are not reduced mod 2^64: -1 would train as 2^64 - 1."""
+        train_ds, test_ds = self.make_sets(seed=5)
+        cfg = self.merged(["pl_ens"])
+        seeds = {}
+        if where == "seed":
+            cfg["seed"] = bad
+        else:
+            seeds[where] = [3, bad]
+        with pytest.raises(ValueError, match=f"^(config key 'seed'|{where}) must be "):
+            run_stability(train_ds, test_ds, cfg, **seeds)
+
+    def test_a_seed_list_needs_one_seed_per_trial(self):
+        train_ds, test_ds = self.make_sets(seed=5)
+        with pytest.raises(ValueError, match="^train_seeds must be a list of 2 seeds"):
+            run_stability(train_ds, test_ds, self.merged(["pl_ens"]), train_seeds=[1, 2, 3])
+
     def test_too_few_trials_rejected(self):
         train_ds, test_ds = self.make_sets(seed=3)
         with pytest.raises(ConfigError, match="trials"):

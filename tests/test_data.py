@@ -24,7 +24,7 @@ from explor.data import (
     save_csv,
     write_csv,
 )
-from explor.seeding import generator
+from explor.seeding import derive_seed, generator
 
 rng = np.random.default_rng(42)
 
@@ -419,6 +419,31 @@ class TestSyntheticRadial:
     def test_unequal_sizes(self):
         train, ood = make_synthetic_radial(300, 60, 4, seed=2)
         assert train.n == 300 and ood.n == 60
+
+    def test_retry_streams_do_not_alias_across_seeds(self, monkeypatch):
+        """Attempt a draws from derive_seed(seed, "synthetic_radial", a): attempt 0 is the plain stream, and
+        the retries of seeds near 2^64 share no stream with those of small seeds (seed + a would wrap)."""
+        streams = []
+
+        class ZeroDraws:
+            """Every point at the origin: no norm is below the median, so every attempt retries."""
+
+            def __init__(self, seed):
+                streams.append(seed)
+
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr(data, "generator", ZeroDraws)
+        used = {}
+        for seed in (0, 1, 2**64 - 1, 2**64 - 2):
+            streams.clear()
+            with pytest.raises(RuntimeError, match="bounded retries"):
+                make_synthetic_radial(10, 10, 2, seed)
+            used[seed] = list(streams)
+            assert used[seed] == [derive_seed(seed, "synthetic_radial", a) for a in range(len(streams))]
+            assert used[seed][0] == derive_seed(seed, "synthetic_radial")
+        assert len(set().union(*used.values())) == sum(map(len, used.values()))
 
     def test_pathological_parameters_rejected(self):
         with pytest.raises(ValueError):

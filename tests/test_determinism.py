@@ -1,11 +1,13 @@
-"""Artifacts do not depend on the BLAS thread count, nor on the scoring thread count.
+"""Artifacts do not depend on the BLAS thread count, nor on the scoring or training thread count.
 
 Each run is a fresh process with ``OPENBLAS_NUM_THREADS`` set before numpy
-loads, and with ``explor.model._scoring_cpus`` pinned, which sets how many
-threads ``score`` runs its blocks on, with BLAS on two threads too. It runs the criterion-8
-``synth -> fit -> predict -> eval`` chain, ``predict --heads``, then an ERM
-fit on the default 512x512 net, whose batch products are large enough for
-OpenBLAS to split them across threads. Last, at the same BLAS thread count,
+loads, and with ``explor.model._thread_cpus`` pinned, which sets how many
+threads ``score`` runs its blocks on and whether the training loop of a net
+larger than one Adam chunk starts its worker thread, with BLAS on two
+threads too. It runs the criterion-8 ``synth -> fit -> predict -> eval``
+chain, ``predict --heads``, then an ERM fit on the default 512x512 net,
+whose batch products are large enough for OpenBLAS to split them across
+threads and whose loop runs on two threads at 3 CPUs. Last, at the same BLAS thread count,
 rows of the library scored alone or in small subsets, on one thread or on
 three, must get exactly the bytes they get in the full batch.
 """
@@ -23,7 +25,7 @@ CLI = """
 import sys
 import explor.model
 cpus = int(sys.argv.pop(1))
-explor.model._scoring_cpus = lambda: cpus
+explor.model._thread_cpus = lambda: cpus
 from explor.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -36,7 +38,7 @@ from explor.model import load_bundle, score
 b, X = load_bundle(sys.argv[1]), load_features(sys.argv[2])
 full = score(b, X)
 for cpus in (1, 3):
-    explor.model._scoring_cpus = lambda: cpus
+    explor.model._thread_cpus = lambda: cpus
     assert all(p.tobytes() == f.tobytes() for p, f in zip(score(b, X), full)), cpus
     for idx in ([0], [len(X) - 1], list(range(3, 6)), list(range(17))[::-1], list(range(1, len(X), 2))):
         part = score(b, X[idx])
@@ -76,7 +78,7 @@ def run_chain(out: Path, threads: int, cpus: int) -> dict:
 
 
 def test_artifacts_match_across_blas_thread_counts(tmp_path):
-    """And across scoring thread counts."""
+    """And across scoring and training thread counts."""
     runs = {(threads, cpus): run_chain(tmp_path / f"t{threads}c{cpus}", threads, cpus) for threads, cpus in ((1, 1), (2, 1), (1, 3), (2, 3))}
     base = runs[1, 1]
     for key, run in runs.items():

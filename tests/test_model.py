@@ -9,6 +9,7 @@ textbook update written as an independent scalar loop.
 import functools
 import json
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -617,6 +618,140 @@ class TestErm:
         assert np.array_equal(predict(b, X), probs.mean(axis=1))
 
 
+def wide_fit(kind):
+    """A few iterations of the default 512x512 net, 16 heads: ERM with snapshots, or explor."""
+    ds = small_ds(seed=16, n=300, d=6)
+    if kind == "erm":
+        return train_erm(ds, NetConfig(iterations=5, snapshot_interval=2, seed=3), heads=16)
+    return train(ds, NetConfig(iterations=3, seed=3), PseudoLabelConfig(k=16, max_depth=3, seed=4))
+
+
+class TestTrainingThreads:
+    """When BLAS is pinned and the net is larger than one Adam chunk, the loop runs on a second thread, with the same bytes."""
+
+    @pytest.mark.parametrize("kind", ["erm", "explor"])
+    def test_bundles_match_on_one_and_two_threads(self, monkeypatch, kind):
+        main = threading.get_ident()
+        threads = set()
+        add_product = model._add_product
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            add_product(*args)
+
+        monkeypatch.setattr(model, "_add_product", recorded)
+        docs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(model, "_thread_cpus", lambda: cpus)
+            threads.clear()
+            docs.append(json.dumps(wide_fit(kind).to_dict(), sort_keys=True))
+            assert (threads == {main}) == (cpus == 1), cpus
+        assert docs[0] == docs[1]
+
+    def test_concurrent_fits_keep_their_bytes(self, monkeypatch):
+        """Three two-thread fits at once, switching threads every microsecond, each get the one-thread bytes."""
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 1)
+        want = json.dumps(wide_fit("erm").to_dict())
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 3)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fits = [threading.Thread(target=lambda: got.append(json.dumps(wide_fit("erm").to_dict()))) for _ in range(3)]
+            for t in fits:
+                t.start()
+            for t in fits:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in fits)
+        assert got == [want] * 3
+
+    def test_non_finite_gradient_raises_with_its_trace_and_stops_the_worker(self, monkeypatch):
+        calls = []
+
+        def nan_at_three(*args, **kwargs):
+            total, parts, grads = loss_and_grads(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                args[0].views(grads)["trunk.1.w"][7, 9] = np.nan
+            return total, parts, grads
+
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 3)
+        monkeypatch.setattr(model, "loss_and_grads", nan_at_three)
+        before = threading.active_count()
+        with pytest.raises(TrainingDivergence, match="gradient in trunk.1.w") as exc:
+            wide_fit("erm")
+        assert len(exc.value.trace) == 2 and all(len(t) == 3 for t in exc.value.trace)
+        assert threading.active_count() == before
+
+    def test_worker_error_raises_in_the_caller(self, monkeypatch):
+        error = FloatingPointError("worker failed")
+        main = threading.get_ident()
+        calls = []
+
+        def adam_update(*args):
+            if threading.get_ident() != main:
+                calls.append(None)
+                if len(calls) == 2:
+                    raise error
+            return adam_update_of(*args)
+
+        adam_update_of = model._adam_update
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 3)
+        monkeypatch.setattr(model, "_adam_update", adam_update)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as raised:
+            wide_fit("erm")
+        assert raised.value is error and len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_small_net_starts_no_pool(self, monkeypatch):
+        """A 64x64 net is one Adam chunk: its loop runs on the caller's thread alone."""
+        import concurrent.futures
+
+        made = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 3)
+        net = train(small_ds(seed=17), quick_net(its=4, hidden=(64, 64)), quick_pl(k=64), n_components=4).net
+        assert net.size <= model._ADAM_CHUNK and made == []
+        wide_fit("erm")
+        assert len(made) == 1 and made[0]._shutdown
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_step_allocates_no_activation(self, monkeypatch, cpus):
+        """After the first iteration, a 512x512 step allocates no array as large as a (256, 512) activation."""
+        monkeypatch.setattr(model, "_thread_cpus", lambda: cpus)
+        steps, peaks = [], []
+        step = Adam.step
+
+        def traced_step(opt, grads):
+            step(opt, grads)
+            steps.append(None)
+            current, peak = tracemalloc.get_traced_memory()
+            if len(steps) == 1:
+                tracemalloc.reset_peak()
+                peaks.append(current)
+            else:
+                peaks.append(peak)
+
+        monkeypatch.setattr(Adam, "step", traced_step)
+        ds = small_ds(seed=18, n=600, d=8)
+        tracemalloc.start()
+        try:
+            train_erm(ds, NetConfig(iterations=6, snapshot_interval=2, seed=5), heads=64)
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 6
+        assert max(peaks[1:]) - peaks[0] < 256 * 512 * 8
+
+
 class TestPlEns:
     def test_predict_is_ensemble_mean(self):
         ds = small_ds(seed=13)
@@ -700,7 +835,7 @@ class TestBlockedScore:
     def test_rows_score_alike_on_any_number_of_threads(self, monkeypatch, method, cpus):
         """The library 15 times over (9,000 rows, 36 blocks, the last padded) gets the library's bytes 15 times."""
         b, X, (full_scores, full_columns) = library_case(method)
-        monkeypatch.setattr(model, "_scoring_cpus", lambda: cpus)
+        monkeypatch.setattr(model, "_thread_cpus", lambda: cpus)
         scores, columns = score(b, np.tile(X, (15, 1)))
         assert scores.tobytes() == np.tile(full_scores, 15).tobytes()
         assert columns.tobytes() == np.tile(full_columns, (15, 1)).tobytes()
@@ -709,7 +844,7 @@ class TestBlockedScore:
     def test_few_blocks_run_inline(self, monkeypatch):
         """Fewer than ``_BLOCKS_PER_WORKER`` blocks per thread start no pool: the blocks run on the caller's thread."""
         b, X, _ = library_case("explor")
-        monkeypatch.setattr(model, "_scoring_cpus", lambda: 3)
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 3)
         threads = set()
 
         def encode(lm, block):
@@ -742,12 +877,12 @@ class TestBlockedScore:
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        assert model._scoring_cpus() == (4 if threaded else 1)
+        assert model._thread_cpus() == (4 if threaded else 1)
 
     def test_peak_memory_is_flat_in_rows(self, monkeypatch):
         """20,000 rows through a 512x512, 64-head net and 64 labelers hold no (N, 512) activations,
         with as many scoring threads as the cap allows."""
-        monkeypatch.setattr(model, "_scoring_cpus", lambda: 64)
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 64)
         b, X = wide_case()
         tracemalloc.start()
         try:
@@ -760,7 +895,7 @@ class TestBlockedScore:
 
     def test_predict_holds_no_columns(self, monkeypatch):
         """``predict`` peaks below the 10 MB of (20,000, 64) head columns that ``score`` returns."""
-        monkeypatch.setattr(model, "_scoring_cpus", lambda: 1)
+        monkeypatch.setattr(model, "_thread_cpus", lambda: 1)
         b, X = wide_case()
         tracemalloc.start()
         try:
@@ -786,7 +921,7 @@ class TestBlockedScore:
             time.sleep(0.01)  # the other blocks are slow, so cancelling them shows
             return latent.encode(lm, block)
 
-        monkeypatch.setattr(model, "_scoring_cpus", lambda: cpus)
+        monkeypatch.setattr(model, "_thread_cpus", lambda: cpus)
         monkeypatch.setattr(model, "encode", encode)
         with pytest.raises(ValueError) as raised:
             score(b, X)
