@@ -27,7 +27,6 @@ from .model import (
     METHOD_PARTS,
     NetConfig,
     TrainedBundle,
-    TrainingDivergence,
     load_bundle,
     predict,
     save_bundle,
@@ -47,7 +46,6 @@ class ConfigError(ValueError):
 
 
 METHODS = tuple(METHOD_PARTS)
-ABLATE_AXES = ("loss_mode", "pl_family", "bottleneck")
 
 
 def _config_defaults(cls) -> dict:
@@ -73,6 +71,8 @@ DEFAULTS = {
 }
 
 
+_FRACTIONS = (lambda v: len(v) == len(set(v)) and all(map(FRACTION[0], v)), "a list of distinct values in (0, 1]")
+
 # The range of every key: (test, wording). The ``pseudo`` and ``net`` ranges
 # are the config dataclasses' own declarations.
 _RANGES = {
@@ -86,11 +86,11 @@ _RANGES = {
         for f in fields(cls)
         if "range" in f.metadata and f.name != "seed"  # derived from the config seed, not a key
     },
-    "metrics.taus": (lambda v: all(map(FRACTION[0], v)), "a list of values in (0, 1]"),
-    "metrics.ef_fractions": (lambda v: all(map(FRACTION[0], v)), "a list of values in (0, 1]"),
+    "metrics.taus": _FRACTIONS,
+    "metrics.ef_fractions": _FRACTIONS,
     "stability.trials": (lambda v: v >= 2, ">= 2"),
     "stability.subsample_fraction": FRACTION,
-    "stability.methods": (lambda v: len(v) >= 1 and all(m in METHODS for m in v), f"a nonempty list of methods from {METHODS}"),
+    "stability.methods": (lambda v: 1 <= len(v) == len(set(v)) and all(m in METHODS for m in v), f"a nonempty list of distinct methods from {METHODS}"),
     "loo.clusters": (lambda v: v >= 1, ">= 1"),
     "synth.n_id": (lambda v: v >= 10, ">= 10"),
     "synth.n_ood": (lambda v: v >= 10, ">= 10"),
@@ -230,42 +230,38 @@ def _train_bundle(cfg: dict, ds: Dataset, base_seed: int | None = None) -> Train
     return train_pl_ens(ds, pl_cfg, n_components=comps)
 
 
-def cmd_synth(cfg: dict, out_dir: str) -> dict:
+def cmd_synth(cfg: dict, args: argparse.Namespace) -> None:
     s = cfg["synth"]
     train_ds, ood_ds = make_synthetic_radial(s["n_id"], s["n_ood"], s["d"], cfg["seed"])
-    paths = {"train": f"{out_dir}/train.csv", "ood_test": f"{out_dir}/ood_test.csv"}
-    save_csv(train_ds, paths["train"], label_column=cfg["label_column"])
-    save_csv(ood_ds, paths["ood_test"], label_column=cfg["label_column"])
-    print(f"wrote {paths['train']} ({train_ds.n} rows) and {paths['ood_test']} ({ood_ds.n} rows)")
-    return paths
+    train_path, ood_path = f"{args.output_dir}/train.csv", f"{args.output_dir}/ood_test.csv"
+    save_csv(train_ds, train_path, label_column=cfg["label_column"])
+    save_csv(ood_ds, ood_path, label_column=cfg["label_column"])
+    print(f"wrote {train_path} ({train_ds.n} rows) and {ood_path} ({ood_ds.n} rows)")
 
 
-def cmd_fit(cfg: dict, train_path: str, out_dir: str) -> dict:
-    ds = _load_dataset(cfg, train_path)
+def cmd_fit(cfg: dict, args: argparse.Namespace) -> None:
+    ds = _load_dataset(cfg, args.train)
     bundle = _train_bundle(cfg, ds)
-    paths = {"bundle": f"{out_dir}/bundle.json", "trace": f"{out_dir}/trace.csv"}
-    save_bundle(bundle, paths["bundle"])
+    save_bundle(bundle, f"{args.output_dir}/bundle.json")
     trace = np.array(bundle.trace, dtype=np.float64).reshape(-1, 3)
-    write_csv(paths["trace"], ["iteration", "match", "mean", "expand"], [np.arange(len(trace)), trace])
+    write_csv(f"{args.output_dir}/trace.csv", ["iteration", "match", "mean", "expand"], [np.arange(len(trace)), trace])
     losses = "; final losses match={:.6f} mean={:.6f} expand={:.6f}".format(*bundle.trace[-1]) if bundle.trace else ""
     print(f"fit {cfg['method']} on {ds.n} rows (latent {bundle.latent_map.s}){losses}")
-    return paths
 
 
-def cmd_predict(cfg: dict, bundle_path: str, data_path: str, out_dir: str, include_heads: bool = False) -> dict:
-    bundle = load_bundle(bundle_path)
+def cmd_predict(cfg: dict, args: argparse.Namespace) -> None:
+    bundle = load_bundle(args.bundle)
     # Scoring needs no labels: the label column is dropped if present.
-    X = load_features(data_path, label_column=cfg["label_column"])
-    if include_heads:
+    X = load_features(args.data, label_column=cfg["label_column"])
+    if args.heads:
         scores, heads = score(bundle, X)
         heads = heads.astype(np.float64, copy=False)  # a bundle with no net writes its 0/1 votes as floats too
     else:
         scores, heads = predict(bundle, X), np.empty((len(X), 0))  # no (N, K) columns held
     header = ["index", "score"] + [f"head_{j}" for j in range(heads.shape[1])]
-    paths = {"predictions": f"{out_dir}/predictions.csv"}
-    write_csv(paths["predictions"], header, [np.arange(len(X)), scores, heads])
-    print(f"wrote {paths['predictions']} ({len(X)} rows)")
-    return paths
+    path = f"{args.output_dir}/predictions.csv"
+    write_csv(path, header, [np.arange(len(X)), scores, heads])
+    print(f"wrote {path} ({len(X)} rows)")
 
 
 def _read_predictions(path: str, n: int) -> np.ndarray:
@@ -296,21 +292,18 @@ def _read_predictions(path: str, n: int) -> np.ndarray:
     return scores
 
 
-def cmd_eval(cfg: dict, predictions_path: str, data_path: str, out_dir: str, write_pr: bool = True) -> dict:
+def cmd_eval(cfg: dict, args: argparse.Namespace) -> None:
     # Ranking needs only the labels, so no feature cell is parsed.
-    _, labels, _ = _read_csv(data_path, cfg["label_column"], label_required=True, features=False)
-    scores = _read_predictions(predictions_path, len(labels))
+    _, labels, _ = _read_csv(args.data, cfg["label_column"], label_required=True, features=False)
+    scores = _read_predictions(args.predictions, len(labels))
     scored = me.ScoredSet(scores, labels)
     report = me.evaluate(scored, taus=cfg["metrics"]["taus"], ef_fractions=cfg["metrics"]["ef_fractions"])
-    paths = {"report": f"{out_dir}/report.json"}
-    write_json(paths["report"], report.to_dict())
-    if write_pr:
+    write_json(f"{args.output_dir}/report.json", report.to_dict())
+    if not args.no_pr_curve:
         recall, precision = me.pr_curve(scored)
-        paths["pr_curve"] = f"{out_dir}/pr_curve.csv"
-        write_csv(paths["pr_curve"], ["recall", "precision"], [recall, precision])
+        write_csv(f"{args.output_dir}/pr_curve.csv", ["recall", "precision"], [recall, precision])
     shown = " ".join(f"auprc@{t:g}={report.auprc_at[float(t)]:.4f}" for t in cfg["metrics"]["taus"])
     print(f"{shown} auprc={report.auprc:.4f} auroc={report.auroc:.4f}")
-    return paths
 
 
 def run_stability(
@@ -330,8 +323,8 @@ def run_stability(
     """
     stab = cfg["stability"]
     methods, trials, fraction = stab["methods"], stab["trials"], stab["subsample_fraction"]
-    _check_range(cfg, "stability.trials")
-    _check_range(cfg, "seed")
+    for where in ("stability.methods", "stability.trials", "seed"):
+        _check_range(cfg, where)
     count = fraction_count(fraction, train_ds.n)
     seed = cfg["seed"]
     if subsample_seeds is None:
@@ -367,9 +360,9 @@ def run_stability(
     return out
 
 
-def cmd_stability(cfg: dict, train_path: str, test_path: str, out_dir: str) -> dict:
-    train_ds = _load_dataset(cfg, train_path)
-    test_ds = _load_dataset(cfg, test_path)
+def cmd_stability(cfg: dict, args: argparse.Namespace) -> None:
+    train_ds = _load_dataset(cfg, args.train)
+    test_ds = _load_dataset(cfg, args.test)
     result = run_stability(train_ds, test_ds, cfg)
     doc = {
         "trials": result["trials"],
@@ -377,20 +370,17 @@ def cmd_stability(cfg: dict, train_path: str, test_path: str, out_dir: str) -> d
         "seed": cfg["seed"],
         "methods": {},
     }
-    paths = {"report": f"{out_dir}/stability.json"}
     for method, block in result["methods"].items():
         doc["methods"][method] = {"mean_variance": block["mean_variance"], "top": block["top"]}
         matrix = block["matrix"]
-        score_path = f"{out_dir}/stability_scores_{method}.csv"
-        paths[f"scores_{method}"] = score_path
-        write_csv(score_path, ["trial"] + [f"i{j}" for j in range(matrix.shape[1])], [np.arange(len(matrix)), matrix])
+        header = ["trial"] + [f"i{j}" for j in range(matrix.shape[1])]
+        write_csv(f"{args.output_dir}/stability_scores_{method}.csv", header, [np.arange(len(matrix)), matrix])
         print(f"{method}: mean variance {block['mean_variance']:.6f} over {result['trials']} trials")
-    write_json(paths["report"], doc)
-    return paths
+    write_json(f"{args.output_dir}/stability.json", doc)
 
 
-def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
-    ds = _load_dataset(cfg, data_path)
+def cmd_loo(cfg: dict, args: argparse.Namespace) -> None:
+    ds = _load_dataset(cfg, args.data)
     k = cfg["loo"]["clusters"]
     lm = fit_pca(ds.features, cfg["latent"]["components"])
     model = cluster_split(ds, lm, k=k, seed=derive_seed(cfg["seed"], "clusters"))
@@ -411,64 +401,50 @@ def cmd_loo(cfg: dict, data_path: str, out_dir: str) -> dict:
         "folds": [{"fold": r.fold, "test_size": r.test_size, "report": r.report} for r in results],
         "summary": summary,
     }
-    paths = {"report": f"{out_dir}/loo.json", "folds": f"{out_dir}/folds.csv"}
-    write_json(paths["report"], doc)
+    write_json(f"{args.output_dir}/loo.json", doc)
 
     # One fold's rows at a time, so memory stays O(n) whatever the number of folds.
     index = np.arange(ds.n)
-    write_csv(paths["folds"], ["index", "fold", "role"], [])
+    folds_path = f"{args.output_dir}/folds.csv"
+    write_csv(folds_path, ["index", "fold", "role"], [])
     for j, (_, test_idx) in enumerate(folds):
         role = np.full(ds.n, "train")
         role[test_idx] = "test"
-        write_csv(paths["folds"], None, [index, np.full(ds.n, j), role])
+        write_csv(folds_path, None, [index, np.full(ds.n, j), role])
     print(f"summary: auprc={summary['auprc']:.4f} auroc={summary['auroc']:.4f}")
-    return paths
 
 
-def _ablate_variants(cfg: dict, axis: str):
-    """(variant name, config) rows for one ablation axis."""
-    if axis == "loss_mode":
-        for mode in LOSS_MODES:
-            c = copy.deepcopy(cfg)
-            c["method"] = "explor"
-            c["net"]["loss_mode"] = mode
-            yield mode, c
-    elif axis == "pl_family":
-        for family in ("tree", "forest"):
-            c = copy.deepcopy(cfg)
-            c["method"] = "explor"
-            if family == "tree":
-                c["pseudo"]["trees_per_labeler"] = 1
-            elif c["pseudo"]["trees_per_labeler"] < 2:
-                c["pseudo"]["trees_per_labeler"] = 10
-            yield f"explor_{family}", c
-            yield f"pl_ens_{family}", {**c, "method": "pl_ens"}
-    elif axis == "bottleneck":
-        for name, hidden in (("full", cfg["net"]["hidden"]), ("tiny", [32, 32])):
-            c = copy.deepcopy(cfg)
-            c["method"] = "explor"
-            c["net"]["hidden"] = list(hidden)
-            yield name, c
-    else:
-        raise ConfigError(f"axis must be one of {ABLATE_AXES}, got {axis!r}")
+def _pl_family(cfg: dict) -> list:
+    t = cfg["pseudo"]["trees_per_labeler"]
+    families = (("tree", 1), ("forest", t if t >= 2 else 10))
+    return [(f"{method}_{family}", {"method": method, "pseudo": {"trees_per_labeler": trees}}) for family, trees in families for method in ("explor", "pl_ens")]
 
 
-def cmd_ablate(cfg: dict, train_path: str, test_path: str, axis: str, out_dir: str) -> dict:
-    train_ds = _load_dataset(cfg, train_path)
-    test_ds = _load_dataset(cfg, test_path)
+# Each ablation axis: cfg -> its (variant name, config overrides) rows. A
+# variant's config is cfg with method "explor" and then its overrides.
+_ABLATIONS = {
+    "loss_mode": lambda cfg: [(mode, {"net": {"loss_mode": mode}}) for mode in LOSS_MODES],
+    "pl_family": _pl_family,
+    "bottleneck": lambda cfg: [("full", {}), ("tiny", {"net": {"hidden": [32, 32]}})],
+}
+ABLATE_AXES = tuple(_ABLATIONS)
+
+
+def cmd_ablate(cfg: dict, args: argparse.Namespace) -> None:
+    train_ds = _load_dataset(cfg, args.train)
+    test_ds = _load_dataset(cfg, args.test)
     taus = cfg["metrics"]["taus"]
     header = ["variant"] + [f"auprc@{t:g}" for t in taus] + ["auprc", "auroc"]
     names, rows = [], []
-    for name, vcfg in _ablate_variants(cfg, axis):
+    for name, overrides in _ABLATIONS[args.axis](cfg):
+        vcfg = _merge_config(cfg, {"method": "explor", **overrides})
         scores = predict(_train_bundle(vcfg, train_ds), test_ds.features)
         scored = me.ScoredSet(scores, test_ds.labels)
         vals = [me.auprc_truncated(scored, t) for t in taus] + [me.auprc(scored), me.auroc(scored)]
         names.append(name)
         rows.append(vals)
         print(f"{name}: " + " ".join(f"{h}={v:.4f}" for h, v in zip(header[1:], vals)))
-    paths = {"table": f"{out_dir}/ablation.csv"}
-    write_csv(paths["table"], header, [np.array(names), np.array(rows, dtype=np.float64)])
-    return paths
+    write_csv(f"{args.output_dir}/ablation.csv", header, [np.array(names), np.array(rows, dtype=np.float64)])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -499,80 +475,59 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--freeze-expansion", dest="redraw_expansion", action="store_false")
 
 
+_REQUIRED = {"required": True}
+
+# Each subcommand: (help, its own arguments before the common ones, as (flag,
+# add_argument settings)). main runs cmd_<name>, looked up when it runs.
+COMMANDS = {
+    "synth": ("generate the radial-shift synthetic benchmark", ()),
+    "fit": ("train a bundle on a CSV dataset", (("--train", _REQUIRED),)),
+    "predict": ("score a dataset with a trained bundle", (
+        ("--bundle", _REQUIRED),
+        ("--data", _REQUIRED),
+        ("--heads", {"action": "store_true", "help": "also export per-head columns"}),
+    )),
+    "eval": ("rank metrics for a predictions file", (
+        ("--predictions", _REQUIRED),
+        ("--data", _REQUIRED),
+        ("--no-pr-curve", {"action": "store_true"}),
+    )),
+    "stability": ("variance of repeated subsample retrainings", (("--train", _REQUIRED), ("--test", _REQUIRED))),
+    "loo": ("leave-one-cluster-out evaluation", (("--data", _REQUIRED),)),
+    "ablate": ("comparison table along one ablation axis", (
+        ("--train", _REQUIRED),
+        ("--test", _REQUIRED),
+        ("--axis", {"required": True, "choices": ABLATE_AXES}),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="explor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate the radial-shift synthetic benchmark")
-    _add_common(p)
-
-    p = sub.add_parser("fit", help="train a bundle on a CSV dataset")
-    p.add_argument("--train", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("predict", help="score a dataset with a trained bundle")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--heads", action="store_true", help="also export per-head columns")
-    _add_common(p)
-
-    p = sub.add_parser("eval", help="rank metrics for a predictions file")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--no-pr-curve", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("stability", help="variance of repeated subsample retrainings")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("loo", help="leave-one-cluster-out evaluation")
-    p.add_argument("--data", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("ablate", help="comparison table along one ablation axis")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--axis", required=True, choices=ABLATE_AXES)
-    _add_common(p)
-
+    for name, (help_text, own) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, settings in own:
+            p.add_argument(flag, **settings)
+        _add_common(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config, args)
         os.makedirs(args.output_dir, exist_ok=True)
-        if args.command == "synth":
-            cmd_synth(cfg, args.output_dir)
-        elif args.command == "fit":
-            cmd_fit(cfg, args.train, args.output_dir)
-        elif args.command == "predict":
-            cmd_predict(cfg, args.bundle, args.data, args.output_dir, include_heads=args.heads)
-        elif args.command == "eval":
-            cmd_eval(cfg, args.predictions, args.data, args.output_dir, write_pr=not args.no_pr_curve)
-        elif args.command == "stability":
-            cmd_stability(cfg, args.train, args.test, args.output_dir)
-        elif args.command == "loo":
-            cmd_loo(cfg, args.data, args.output_dir)
-        elif args.command == "ablate":
-            cmd_ablate(cfg, args.train, args.test, args.axis, args.output_dir)
+        # By name at call time, so a wrapper set on this module (a tracer) runs.
+        globals()[f"cmd_{args.command}"](cfg, args)
         return 0
-    except (TrainingDivergence, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # Exit 2 first: LinAlgError is a ValueError, and TrainingDivergence a RuntimeError.
+    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError, MemoryError) as exc:
+        print(f"error: {'out of memory: ' if isinstance(exc, MemoryError) else ''}{exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DatasetError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

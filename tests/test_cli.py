@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) against tiny datasets, so the
 full synth/fit/predict/eval chain stays fast.
 """
 
+import argparse
 import csv
 import json
 import os
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from explor import cli, data
 from explor.cli import (
+    COMMANDS,
     FLAG_MAP,
     ConfigError,
     DEFAULTS,
@@ -346,6 +348,9 @@ class TestRangesBeforeAnyWork:
         ("fit", ["--hidden", "8,0"], "net.hidden"),
         ("synth", ["--n-id", "3"], "synth.n_id"),
         ("synth", ["--seed", "-1"], "seed"),
+        ("stability", ["--stability-methods", "erm,erm"], "stability.methods"),
+        ("loo", ["--taus", "0.1,0.1"], "metrics.taus"),
+        ("loo", ["--ef-fractions", "0.05,0.05"], "metrics.ef_fractions"),
     ])
     def test_flag_exits_one_naming_its_key(self, workdir, capsys, command, argv, key):
         tmp_path, cfg_path = workdir
@@ -388,6 +393,23 @@ class TestRangesBeforeAnyWork:
         """A numeric key cannot ship without a range decision."""
         assert sorted(set(numeric("", DEFAULTS)) - set(_RANGES)) == []
 
+    @pytest.mark.parametrize("key,value", [
+        ("stability.methods", ["erm", "erm"]),
+        ("metrics.taus", [0.1, 0.1]),
+        ("metrics.ef_fractions", [0.05, 0.05]),
+    ])
+    def test_repeated_list_entry_in_config_file_exits_one(self, workdir, capsys, key, value):
+        """A repeated method would be trained twice and reported once, a repeated tau shown twice; both are config errors."""
+        tmp_path, _ = workdir
+        cfg = tmp_path / "repeated.json"
+        cfg.write_text(json.dumps(tiny_cfg(**nested(key, value))))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["stability", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "ood_test.csv"), "--config", str(cfg), "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and f"config key {key!r} must be a" in err and "distinct" in err
+        assert not out.exists()
+
     def test_empty_methods_in_config_file_exits_one(self, workdir, capsys):
         tmp_path, _ = workdir
         cfg = tmp_path / "empty.json"
@@ -397,6 +419,21 @@ class TestRangesBeforeAnyWork:
         code = main(["stability", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "ood_test.csv"), "--config", str(cfg), "--output-dir", str(out)])
         assert code == 1 and "config key 'stability.methods'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCommandTable:
+    def test_parser_and_commands_are_the_table(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMANDS)
+        assert sorted(name[4:] for name in vars(cli) if name.startswith("cmd_")) == sorted(COMMANDS)
+
+    def test_main_looks_up_the_command_when_it_runs(self, tmp_path, monkeypatch):
+        """A function set on the module after import, as a tracer sets one, is what main runs."""
+        calls = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda cfg, args: calls.append((cfg["seed"], args.output_dir)))
+        assert main(["synth", "--seed", "7", "--output-dir", str(tmp_path)]) == 0
+        assert calls == [(7, str(tmp_path))]
+        assert not (tmp_path / "train.csv").exists()
 
 
 class TestSynth:
@@ -937,6 +974,12 @@ class TestStability:
         train_ds, test_ds = self.make_sets(seed=3)
         with pytest.raises(ConfigError, match="trials"):
             run_stability(train_ds, test_ds, self.merged(["pl_ens"], trials=1))
+
+    def test_repeated_method_rejected(self):
+        """The library entry point refuses a method listed twice, as the command line does."""
+        train_ds, test_ds = self.make_sets(seed=3)
+        with pytest.raises(ConfigError, match="stability.methods"):
+            run_stability(train_ds, test_ds, self.merged(["pl_ens", "pl_ens"]))
 
     def test_command_artifacts(self, workdir):
         tmp_path, cfg_path = workdir

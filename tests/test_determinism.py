@@ -1,4 +1,10 @@
-"""Artifacts do not depend on the BLAS thread count, nor on the scoring or training thread count.
+"""At the widths run here, artifacts do not depend on the BLAS thread count, nor on the scoring or training thread count.
+
+The BLAS part is checked at two widths, the 16x16 net of the criterion-8
+chain and the 512x512 ERM net, and does not hold at every width: at 100x100,
+or one layer of 300, OpenBLAS on two threads splits some products
+differently and the weights differ in the last bits. Identical bytes under
+different BLAS thread settings need ``OPENBLAS_NUM_THREADS=1`` on every run.
 
 Each run is a fresh process with ``OPENBLAS_NUM_THREADS`` set before numpy
 loads, and with ``explor.model._thread_cpus`` pinned, which sets how many
